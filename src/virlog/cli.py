@@ -34,14 +34,7 @@ from .modules import (
 )
 from .rational import parse_rational, render_rational
 from .serialize import serialize
-from .wlog import (
-    CENTRAL,
-    check_jacobi,
-    cocycle_closed_form,
-    cocycle_residue,
-    vacuum_expectation,
-    wlog_bracket,
-)
+from .wlog import CENTRAL, _cocycle_fn, check_jacobi, vacuum_expectation, wlog_bracket
 
 
 class _Parser(argparse.ArgumentParser):
@@ -194,13 +187,7 @@ def _cmd_wlog_bracket(args):
 
 
 def _cmd_wlog_cocycle(args):
-    if args.cocycle == "closed":
-        value = cocycle_closed_form(args.left, args.right)
-    elif args.cocycle == "residue":
-        value = cocycle_residue(args.left, args.right)
-    else:
-        value = Fraction(0)
-    return value, 0
+    return _cocycle_fn(args.cocycle)(args.left, args.right), 0
 
 
 def _cmd_wlog_vev(args):

@@ -41,7 +41,7 @@ from .modules import (
     singular_vectors,
 )
 from .errors import DomainError
-from .polynomial import mpoly_derivative, sym
+from .polynomial import accumulate, sym
 from .rational import render_rational
 from .virasoro import UEAElement
 from .wlog import (
@@ -93,7 +93,7 @@ def _diag_block_level3():
 def _expected_matrix_level3():
     s = _diag_block_level3()
     ds = [
-        [mpoly_derivative(s.entries[i][j], "h") for j in range(3)]
+        [s.entries[i][j].derivative("h") for j in range(3)]
         for i in range(3)
     ]
     rows = []
@@ -170,7 +170,7 @@ def _fx_block_square_law():
                     failures.append(f"level {level} repeated block")
                 if s2[(p + i, j)] != 0:
                     failures.append(f"level {level} lower-left block")
-                want = mpoly_derivative(s[(i, j)], "h")
+                want = s[(i, j)].derivative("h")
                 if s2[(i, p + j)] != want:
                     failures.append(f"level {level} derivative block")
         det = shapovalov_determinant(plain, level)
@@ -359,13 +359,7 @@ def _fx_density_consistency():
                     e = {(r, i): Fraction(1)}
                     lhs = density_apply(mod, m, density_apply(mod, n, e))
                     rhs = density_apply(mod, n, density_apply(mod, m, e))
-                    diff = dict(lhs)
-                    for lab, q in rhs.items():
-                        s = diff.get(lab, Fraction(0)) - q
-                        if s == 0:
-                            diff.pop(lab, None)
-                        else:
-                            diff[lab] = s
+                    diff = accumulate(((lab, -q) for lab, q in rhs.items()), dict(lhs))
                     want = (
                         {}
                         if m == n

@@ -22,13 +22,14 @@ from .polynomial import (
     Coeff,
     MultiPoly,
     UniPoly,
+    accumulate,
     as_fraction,
     coeff_from_json,
     coeff_to_json,
     is_zero_coeff,
     poly_gcd,
     rational_roots,
-    render_coeff,
+    render_terms,
     sym,
 )
 from .rational import parse_rational, render_rational
@@ -81,14 +82,7 @@ class EulerOperator:
         return self.terms == other.terms
 
     def __add__(self, other: "EulerOperator") -> "EulerOperator":
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            s = out.get(key, Fraction(0)) + coeff
-            if is_zero_coeff(s):
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return EulerOperator(out)
+        return EulerOperator(accumulate(other.terms.items(), dict(self.terms)))
 
     def __sub__(self, other: "EulerOperator") -> "EulerOperator":
         return self + other.scale(Fraction(-1))
@@ -100,21 +94,14 @@ class EulerOperator:
 
     def compose(self, other: "EulerOperator") -> "EulerOperator":
         """Operator product self . other (self applied last)."""
-        out: dict = {}
-        for (k1, j1), c1 in self.terms.items():
-            for (k2, j2), c2 in other.terms.items():
-                # d^j1 x^(-k2) = sum_i C(j1,i) (-k2)(-k2-1)... x^(-k2-i) d^(j1-i)
-                for i in range(j1 + 1):
-                    coeff = c1 * c2 * math.comb(j1, i) * falling(Fraction(-k2), i)
-                    if is_zero_coeff(coeff):
-                        continue
-                    key = (k1 + k2 + i, j1 + j2 - i)
-                    s = out.get(key, Fraction(0)) + coeff
-                    if is_zero_coeff(s):
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
-        return EulerOperator(out)
+        # d^j1 x^(-k2) = sum_i C(j1,i) (-k2)(-k2-1)... x^(-k2-i) d^(j1-i)
+        return EulerOperator(accumulate(
+            ((k1 + k2 + i, j1 + j2 - i), c1 * c2 * math.comb(j1, i) * fall)
+            for (k1, j1), c1 in self.terms.items()
+            for (k2, j2), c2 in other.terms.items()
+            for i in range(j1 + 1)
+            if (fall := falling(Fraction(-k2), i))
+        ))
 
     __mul__ = compose
 
@@ -142,27 +129,18 @@ class EulerOperator:
     def apply(self, series: "LogSeries") -> "LogSeries":
         n = self.require_homogeneous()
         derivs = _derivative_chain(self.indicial())
-        out: dict = {}
-        for (r, p), amp in series.terms.items():
-            for i in range(min(p, len(derivs) - 1) + 1):
-                val = derivs[i].evaluate(r)
-                if is_zero_coeff(val):
-                    continue
-                key = (r - n, p - i)
-                s = out.get(key, Fraction(0)) + amp * math.comb(p, i) * val
-                if is_zero_coeff(s):
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return LogSeries(out)
+        return LogSeries(accumulate(
+            ((r - n, p - i), amp * math.comb(p, i) * val)
+            for (r, p), amp in series.terms.items()
+            for i in range(min(p, len(derivs) - 1) + 1)
+            if not is_zero_coeff(val := derivs[i].evaluate(r))
+        ))
 
     def _ordered(self):
         return sorted(self.terms.items(), key=lambda kv: (-kv[0][1], kv[0][0]))
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
+        terms = []
         for (k, j), coeff in self._ordered():
             bits = []
             if k > 0:
@@ -173,27 +151,8 @@ class EulerOperator:
                 bits.append("d")
             elif j > 1:
                 bits.append(f"d^{j}")
-            body = "*".join(bits)
-            if isinstance(coeff, MultiPoly) and not coeff.is_constant():
-                text = f"({coeff.render()})"
-                parts.append(("+", f"{text}*{body}" if body else text))
-                continue
-            value = (
-                coeff.constant_value() if isinstance(coeff, MultiPoly) else coeff
-            )
-            sign = "-" if value < 0 else "+"
-            mag = render_rational(abs(value))
-            if not body:
-                parts.append((sign, mag))
-            elif mag == "1":
-                parts.append((sign, body))
-            else:
-                parts.append((sign, f"{mag}*{body}"))
-        sign0, body0 = parts[0]
-        text = ("-" if sign0 == "-" else "") + body0
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+            terms.append((coeff, "*".join(bits)))
+        return render_terms(terms)
 
     __repr__ = render
 
@@ -353,14 +312,7 @@ class LogSeries:
         return self.terms == other.terms
 
     def __add__(self, other: "LogSeries") -> "LogSeries":
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            s = out.get(key, Fraction(0)) + coeff
-            if is_zero_coeff(s):
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return LogSeries(out)
+        return LogSeries(accumulate(other.terms.items(), dict(self.terms)))
 
     def __sub__(self, other: "LogSeries") -> "LogSeries":
         return self + other.scale(Fraction(-1))
@@ -377,9 +329,7 @@ class LogSeries:
         return sorted(self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1]))
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
+        terms = []
         for (r, p), coeff in self._ordered():
             bits = []
             if r != 0:
@@ -388,27 +338,8 @@ class LogSeries:
                 bits.append("log(x)")
             elif p > 1:
                 bits.append(f"log(x)^{p}")
-            body = "*".join(bits)
-            if isinstance(coeff, MultiPoly) and not coeff.is_constant():
-                text = f"({coeff.render()})"
-                parts.append(("+", f"{text}*{body}" if body else text))
-                continue
-            value = (
-                coeff.constant_value() if isinstance(coeff, MultiPoly) else coeff
-            )
-            sign = "-" if value < 0 else "+"
-            mag = render_rational(abs(value))
-            if not body:
-                parts.append((sign, mag))
-            elif mag == "1":
-                parts.append((sign, body))
-            else:
-                parts.append((sign, f"{mag}*{body}"))
-        sign0, body0 = parts[0]
-        text = ("-" if sign0 == "-" else "") + body0
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+            terms.append((coeff, "*".join(bits)))
+        return render_terms(terms)
 
     __repr__ = render
 
@@ -455,7 +386,7 @@ def solve_euler(op: EulerOperator, rhs: LogSeries):
     roots, _residual = rational_roots(q)
     mult = dict(roots)
     derivs = _derivative_chain(q)
-    out: dict = {}
+    pairs = []
     for (s0, p), amp in rhs.terms.items():
         s = s0 + n
         mu = mult.get(s, 0)
@@ -469,19 +400,11 @@ def solve_euler(op: EulerOperator, rhs: LogSeries):
                     jj - k
                 ].evaluate(s)
             beta[j] = target / (math.comb(j, mu) * lead)
-        for j, val in beta.items():
-            if is_zero_coeff(val):
-                continue
-            key = (s, j)
-            acc = out.get(key, Fraction(0)) + val
-            if is_zero_coeff(acc):
-                out.pop(key, None)
-            else:
-                out[key] = acc
+        pairs.extend(((s, j), val) for j, val in beta.items() if not is_zero_coeff(val))
     homogeneous = [
         LogSeries.monomial(r, j) for r, m in roots for j in range(m)
     ]
-    return LogSeries(out), homogeneous
+    return LogSeries(accumulate(pairs)), homogeneous
 
 
 # -- derived constants ------------------------------------------------------

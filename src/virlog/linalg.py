@@ -50,17 +50,6 @@ class ExactMatrix:
             if len(row) != self.cols:
                 raise ShapeError("ragged rows in matrix")
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        m = cls.zeros(n, n)
-        for i in range(n):
-            m.entries[i][i] = Fraction(1)
-        return m
-
     def __getitem__(self, key):
         i, j = key
         return self.entries[i][j]
@@ -81,9 +70,6 @@ class ExactMatrix:
                 for j in range(self.cols)
             )
         )
-
-    def copy(self) -> "ExactMatrix":
-        return ExactMatrix(self.entries)
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(

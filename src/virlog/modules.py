@@ -36,10 +36,11 @@ from .linalg import ExactMatrix
 from .polynomial import (
     Coeff,
     MultiPoly,
+    accumulate,
     coeff_from_json,
     coeff_to_json,
     is_zero_coeff,
-    render_coeff,
+    render_terms,
     sym,
 )
 from .rational import parse_rational, render_rational
@@ -158,16 +159,10 @@ def _prepend(p: int, mu: tuple) -> dict:
         result = {mu + (p,): Fraction(1)}
     else:
         s2, rho2 = mu[-1], mu[:-1]
-        result = {}
-        for nu, q in _prepend(p, rho2).items():
-            k2 = nu + (s2,)
-            result[k2] = result.get(k2, Fraction(0)) + q
-        for nu, q in _prepend(p + s2, rho2).items():
-            s = result.get(nu, Fraction(0)) + (s2 - p) * q
-            if s == 0:
-                result.pop(nu, None)
-            else:
-                result[nu] = s
+        result = accumulate(
+            ((nu, (s2 - p) * q) for nu, q in _prepend(p + s2, rho2).items()),
+            {nu + (s2,): q for nu, q in _prepend(p, rho2).items()},
+        )
     _PREPEND_MEMO[key] = result
     return result
 
@@ -181,36 +176,33 @@ def _apply_single(mod: JordanVermaModule, k: int, lam: tuple, top: int) -> dict:
     cached = _ACTION_MEMO.get(key)
     if cached is not None:
         return cached
-    out: dict = {}
-
-    def add(label, coeff):
-        s = out.get(label, Fraction(0)) + coeff
-        if is_zero_coeff(s):
-            out.pop(label, None)
-        else:
-            out[label] = s
-
+    pairs = []
     if lam == ():
         if k == 0:
-            add(((), top), mod.h_value())
+            pairs.append((((), top), mod.h_value()))
             if top > 1:
-                add(((), top - 1), Fraction(1))
+                pairs.append((((), top - 1), Fraction(1)))
         elif k < 0:
-            add(((-k,), top), Fraction(1))
+            pairs.append((((-k,), top), Fraction(1)))
         # k > 0 annihilates the top level
     else:
         s, rho = lam[-1], lam[:-1]
         # L(k) L(-s) = L(-s) L(k) + (k+s) L(k-s) + delta_{k,s} (k^3-k)/12 C
-        for (mu, j), q in _apply_single(mod, k, rho, top).items():
-            for nu, w in _prepend(s, mu).items():
-                add((nu, j), q * w)
+        pairs.extend(
+            ((nu, j), q * w)
+            for (mu, j), q in _apply_single(mod, k, rho, top).items()
+            for nu, w in _prepend(s, mu).items()
+        )
         if k + s != 0:
-            for (mu, j), q in _apply_single(mod, k - s, rho, top).items():
-                add((mu, j), (k + s) * q)
+            pairs.extend(
+                ((mu, j), (k + s) * q)
+                for (mu, j), q in _apply_single(mod, k - s, rho, top).items()
+            )
         if k == s:
             central = Fraction(k**3 - k, 12)
             if central != 0:
-                add((rho, top), central * mod.c_value())
+                pairs.append(((rho, top), central * mod.c_value()))
+    out = accumulate(pairs)
     _ACTION_MEMO[key] = out
     return out
 
@@ -252,13 +244,7 @@ class ModuleVector:
             return ModuleVector(other.module, other.level, dict(other.terms))
         if not other.terms:
             return ModuleVector(self.module, self.level, dict(self.terms))
-        out = dict(self.terms)
-        for label, coeff in other.terms.items():
-            s = out.get(label, Fraction(0)) + coeff
-            if is_zero_coeff(s):
-                out.pop(label, None)
-            else:
-                out[label] = s
+        out = accumulate(other.terms.items(), dict(self.terms))
         return ModuleVector(self.module, self.level, out)
 
     def __sub__(self, other: "ModuleVector") -> "ModuleVector":
@@ -293,14 +279,11 @@ class ModuleVector:
         new_level = self.level - k
         if new_level < 0:
             return ModuleVector(self.module, 0, {})
-        out: dict = {}
-        for (lam, top), coeff in self.terms.items():
-            for label, q in _apply_single(self.module, k, lam, top).items():
-                s = out.get(label, Fraction(0)) + coeff * q
-                if is_zero_coeff(s):
-                    out.pop(label, None)
-                else:
-                    out[label] = s
+        out = accumulate(
+            (label, coeff * q)
+            for (lam, top), coeff in self.terms.items()
+            for label, q in _apply_single(self.module, k, lam, top).items()
+        )
         return ModuleVector(self.module, new_level, out)
 
     def apply_word(self, modes) -> "ModuleVector":
@@ -331,8 +314,6 @@ class ModuleVector:
         return self
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
         names = (
             {1: "v"}
             if self.module.jordan == 1
@@ -340,29 +321,15 @@ class ModuleVector:
             if self.module.jordan == 2
             else {i: f"v{i}" for i in range(1, self.module.jordan + 1)}
         )
-        chunks = []
-        for label in level_basis(self.module, self.level):
-            coeff = self.terms.get(label)
-            if coeff is None or is_zero_coeff(coeff):
-                continue
-            lam, top = label
-            factors = []
-            for part in sorted(set(lam)):
-                mult = lam.count(part)
-                factors.append(
-                    f"L(-{part})" if mult == 1 else f"L(-{part})^{mult}"
+        terms = []
+        for lam, top in level_basis(self.module, self.level):
+            if (lam, top) in self.terms:
+                factors = "".join(
+                    f"L(-{part})" if lam.count(part) == 1 else f"L(-{part})^{lam.count(part)}"
+                    for part in sorted(set(lam))
                 )
-            body = "".join(factors) + names[top]
-            text = render_coeff(coeff)
-            if isinstance(coeff, MultiPoly) and not coeff.is_constant():
-                chunks.append(f"({text})*{body}")
-            elif text == "1":
-                chunks.append(body)
-            elif text == "-1":
-                chunks.append(f"-{body}")
-            else:
-                chunks.append(f"{text}*{body}")
-        return " + ".join(chunks).replace("+ -", "- ")
+                terms.append((self.terms[(lam, top)], factors + names[top]))
+        return render_terms(terms)
 
     __repr__ = render
 
@@ -541,12 +508,8 @@ def density_action(mod: DensityModule, m: int, label) -> dict:
 
 def density_apply(mod: DensityModule, m: int, vec: dict) -> dict:
     """Extend density_action linearly to {label: Coeff} combinations."""
-    out: dict = {}
-    for label, coeff in vec.items():
-        for lab2, q in density_action(mod, m, label).items():
-            s = out.get(lab2, Fraction(0)) + coeff * q
-            if is_zero_coeff(s):
-                out.pop(lab2, None)
-            else:
-                out[lab2] = s
-    return out
+    return accumulate(
+        (lab2, coeff * q)
+        for label, coeff in vec.items()
+        for lab2, q in density_action(mod, m, label).items()
+    )

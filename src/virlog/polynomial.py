@@ -19,6 +19,10 @@ Fraction coefficients.
 Coefficients elsewhere in the package are "Coeff" = Fraction | MultiPoly; the
 operator overloads below make the two interoperate (Fraction op MultiPoly
 falls back to the reflected MultiPoly method).
+
+Every object in the package is a sparse {key: Coeff} combination, and
+accumulate and render_terms below are the one place where such terms are
+summed and printed.
 """
 
 from __future__ import annotations
@@ -60,19 +64,15 @@ class MultiPoly:
 
     def __init__(self, vars: Iterable[str] = (), terms: dict | None = None):
         self.vars = _check_vars(tuple(vars))
-        clean = {}
+        clean = []
         if terms:
             width = len(self.vars)
             for exps, coeff in terms.items():
                 exps = tuple(exps)
                 if len(exps) != width or any(e < 0 for e in exps):
                     raise SymbolError(f"bad exponent tuple {exps} for vars {self.vars}")
-                q = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-                if q != 0:
-                    clean[exps] = clean.get(exps, Fraction(0)) + q
-                    if clean[exps] == 0:
-                        del clean[exps]
-        self.terms = clean
+                clean.append((exps, coeff if isinstance(coeff, Fraction) else Fraction(coeff)))
+        self.terms = accumulate(clean)
 
     # -- constructors ------------------------------------------------------
 
@@ -158,15 +158,7 @@ class MultiPoly:
         if other is None:
             return NotImplemented
         vars = _merge_vars(self.vars, other.vars)
-        a = self._aligned(vars)
-        b = other._aligned(vars)
-        out = dict(a)
-        for exps, coeff in b.items():
-            s = out.get(exps, Fraction(0)) + coeff
-            if s == 0:
-                out.pop(exps, None)
-            else:
-                out[exps] = s
+        out = accumulate(other._aligned(vars).items(), dict(self._aligned(vars)))
         return MultiPoly(vars, out)
 
     __radd__ = __add__
@@ -198,17 +190,12 @@ class MultiPoly:
         if self.is_constant():
             return other * self
         vars = _merge_vars(self.vars, other.vars)
-        a = self._aligned(vars)
-        b = other._aligned(vars)
-        out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+        b = other._aligned(vars).items()
+        out = accumulate(
+            (tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
+            for e1, c1 in self._aligned(vars).items()
+            for e2, c2 in b
+        )
         return MultiPoly(vars, out)
 
     __rmul__ = __mul__
@@ -231,7 +218,7 @@ class MultiPoly:
             q = Fraction(other)
             if q == 0:
                 raise ZeroDivisionError("division by zero scalar")
-            return self * Fraction(1, 1) * Fraction(q.denominator, q.numerator)
+            return self * (1 / q)
         return NotImplemented
 
     def divexact(self, other) -> "MultiPoly":
@@ -264,17 +251,11 @@ class MultiPoly:
         if var not in self.vars:
             return MultiPoly(self.vars, {})
         i = self.vars.index(var)
-        out = {}
-        for exps, coeff in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            new = exps[:i] + (e - 1,) + exps[i + 1:]
-            s = out.get(new, Fraction(0)) + coeff * e
-            if s == 0:
-                out.pop(new, None)
-            else:
-                out[new] = s
+        out = accumulate(
+            (exps[:i] + (exps[i] - 1,) + exps[i + 1:], coeff * exps[i])
+            for exps, coeff in self.terms.items()
+            if exps[i]
+        )
         return MultiPoly(self.vars, out)
 
     def subs(self, mapping: dict) -> Coeff:
@@ -331,28 +312,10 @@ class MultiPoly:
     # -- rendering ---------------------------------------------------------
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps, coeff in self.sorted_terms():
-            mono = "*".join(
-                v if e == 1 else f"{v}^{e}"
-                for v, e in zip(self.vars, exps)
-                if e > 0
-            )
-            if not mono:
-                body = render_rational(abs(coeff))
-            elif abs(coeff) == 1:
-                body = mono
-            else:
-                body = f"{render_rational(abs(coeff))}*{mono}"
-            sign = "-" if coeff < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return render_terms(
+            (coeff, "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(self.vars, exps) if e))
+            for exps, coeff in self.sorted_terms()
+        )
 
     __repr__ = render
 
@@ -413,6 +376,55 @@ def coeff_from_json(obj) -> Coeff:
 
 def render_coeff(x) -> str:
     return x.render() if isinstance(x, MultiPoly) else render_rational(x)
+
+
+_ZERO = Fraction(0)
+
+
+def accumulate(pairs, out: dict | None = None) -> dict:
+    """Sum (key, coeff) pairs into out (a fresh dict by default) and return
+    out with every entry whose sum is zero removed."""
+    if out is None:
+        out = {}
+    get = out.get
+    cancelled = []
+    for key, coeff in pairs:
+        out[key] = total = get(key, _ZERO) + coeff
+        if not total:
+            cancelled.append(key)
+    for key in cancelled:
+        # a key can cancel more than once, or cancel and come back
+        if key in out and not out[key]:
+            del out[key]
+    return out
+
+
+def render_terms(items) -> str:
+    """Signed sum of (coeff, body) terms in display order; body "" marks the
+    constant term and zero coefficients are skipped.
+
+    A non-constant polynomial coefficient prints as (p)*body, or is spliced
+    in as p when there is no body.  Any other coefficient q prints as
+    q*body, as body or -body when q is 1 or -1, and as q alone with no
+    body.  A term that starts with a minus joins the sum as " - ".
+    """
+    text = ""
+    for coeff, body in items:
+        if not coeff:
+            continue
+        if isinstance(coeff, MultiPoly) and not coeff.is_constant():
+            term = f"({coeff.render()})*{body}" if body else coeff.render()
+        else:
+            term = render_coeff(coeff)
+            if body:
+                term = body if term == "1" else "-" + body if term == "-1" else f"{term}*{body}"
+        if not text:
+            text = term
+        elif term[0] == "-":
+            text += " - " + term[1:]
+        else:
+            text += " + " + term
+    return text or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +569,7 @@ class UniPoly:
         lead = self.leading()
         if isinstance(lead, MultiPoly):
             raise DomainError("monic normalization needs rational coefficients")
-        return self * Fraction(1, 1) * Fraction(lead.denominator, lead.numerator)
+        return self * (1 / lead)
 
     def divmod(self, other: "UniPoly"):
         """Long division over rational coefficients: self = q*other + r."""
@@ -588,35 +600,10 @@ class UniPoly:
         return q
 
     def render(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if is_zero_coeff(c):
-                continue
-            if k == 0:
-                mono = ""
-            elif k == 1:
-                mono = self.var
-            else:
-                mono = f"{self.var}^{k}"
-            if isinstance(c, MultiPoly):
-                body = f"({c.render()})" + (f"*{mono}" if mono else "")
-                parts.append(("+", body))
-                continue
-            if not mono:
-                body = render_rational(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{render_rational(abs(c))}*{mono}"
-            parts.append(("-" if c < 0 else "+", body))
-        sign0, body0 = parts[0]
-        text = ("-" if sign0 == "-" else "") + body0
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return render_terms(
+            (self.coeffs[k], "" if k == 0 else self.var if k == 1 else f"{self.var}^{k}")
+            for k in range(len(self.coeffs) - 1, -1, -1)
+        )
 
     __repr__ = render
 
@@ -737,7 +724,3 @@ def rational_roots(p: UniPoly):
     roots.sort(key=lambda rm: rm[0])
     residual = work.monic() if not work.is_zero() else work
     return roots, residual
-
-
-def mpoly_derivative(p: MultiPoly, var: str) -> MultiPoly:
-    return p.derivative(var)

@@ -13,23 +13,17 @@ shortens the word, so the rewriting terminates.  Results per word are cached
 since the structure constants do not depend on any module.
 
 An UEAElement keeps only canonical words (the constructor straightens), which
-makes normal_order idempotent and multiplication automatically canonical.
+makes multiplication automatically canonical.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable
 
 from .errors import ParseError
-from .polynomial import (
-    Coeff,
-    MultiPoly,
-    coeff_from_json,
-    coeff_to_json,
-    is_zero_coeff,
-    render_coeff,
-)
+from .polynomial import accumulate, coeff_from_json, coeff_to_json, is_zero_coeff, render_terms
 
 Word = tuple  # tuple of mode indices
 
@@ -63,19 +57,14 @@ def straighten_word(word: Word) -> dict:
     else:
         i = descent
         a, b = word[i], word[i + 1]
-        result = {}
-        swapped = word[:i] + (b, a) + word[i + 2:]
-        for key, q in straighten_word(swapped).items():
-            result[key] = result.get(key, Fraction(0)) + q
-        for mid, dpow, scale in bracket_modes(a, b):
-            shorter = word[:i] + mid + word[i + 2:]
-            for (w, p), q in straighten_word(shorter).items():
-                key = (w, p + dpow)
-                s = result.get(key, Fraction(0)) + q * scale
-                if s == 0:
-                    result.pop(key, None)
-                else:
-                    result[key] = s
+        result = accumulate(
+            (
+                ((w, p + dpow), q * scale)
+                for mid, dpow, scale in bracket_modes(a, b)
+                for (w, p), q in straighten_word(word[:i] + mid + word[i + 2:]).items()
+            ),
+            dict(straighten_word(word[:i] + (b, a) + word[i + 2:])),
+        )
     _STRAIGHTEN_MEMO[word] = result
     return result
 
@@ -95,19 +84,12 @@ class UEAElement:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
-        clean: dict = {}
-        if terms:
-            for (word, cpow), coeff in terms.items():
-                if is_zero_coeff(coeff):
-                    continue
-                for (w, p), q in straighten_word(word).items():
-                    key = (w, p + cpow)
-                    s = clean.get(key, Fraction(0)) + coeff * q
-                    if is_zero_coeff(s):
-                        clean.pop(key, None)
-                    else:
-                        clean[key] = s
-        self.terms = clean
+        self.terms = accumulate(
+            ((w, p + cpow), coeff * q)
+            for (word, cpow), coeff in terms.items()
+            if not is_zero_coeff(coeff)
+            for (w, p), q in straighten_word(word).items()
+        ) if terms else {}
 
     @classmethod
     def from_word(cls, modes: Iterable[int], coeff=Fraction(1), cpow: int = 0):
@@ -131,15 +113,9 @@ class UEAElement:
     def __add__(self, other):
         if not isinstance(other, UEAElement):
             return NotImplemented
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            s = out.get(key, Fraction(0)) + coeff
-            if is_zero_coeff(s):
-                out.pop(key, None)
-            else:
-                out[key] = s
         e = UEAElement()
-        e.terms = out  # both inputs canonical, no restraightening needed
+        # both inputs canonical, no restraightening needed
+        e.terms = accumulate(other.terms.items(), dict(self.terms))
         return e
 
     def __neg__(self):
@@ -162,37 +138,28 @@ class UEAElement:
     def __mul__(self, other):
         if not isinstance(other, UEAElement):
             return NotImplemented
-        raw: dict = {}
-        for (w1, p1), c1 in self.terms.items():
-            for (w2, p2), c2 in other.terms.items():
-                key = (w1 + w2, p1 + p2)
-                s = raw.get(key, Fraction(0)) + c1 * c2
-                raw[key] = s
-        return UEAElement(raw)
+        return UEAElement(accumulate(
+            ((w1 + w2, p1 + p2), c1 * c2)
+            for (w1, p1), c1 in self.terms.items()
+            for (w2, p2), c2 in other.terms.items()
+        ))
 
     def bracket(self, other: "UEAElement") -> "UEAElement":
         return self * other - other * self
 
     def transpose(self) -> "UEAElement":
         """Anti-involution: L(n) -> L(-n), words reversed, C fixed."""
-        raw = {}
-        for (word, p), coeff in self.terms.items():
-            flipped = tuple(-m for m in reversed(word))
-            raw[(flipped, p)] = raw.get((flipped, p), Fraction(0)) + coeff
-        return UEAElement(raw)
+        return UEAElement(accumulate(
+            ((tuple(-m for m in reversed(word)), p), coeff)
+            for (word, p), coeff in self.terms.items()
+        ))
 
     def specialize_central(self, value) -> "UEAElement":
         """Replace C by a scalar (Rational or MultiPoly)."""
-        raw: dict = {}
-        for (word, p), coeff in self.terms.items():
-            scaled = coeff * value**p if p else coeff
-            key = (word, 0)
-            s = raw.get(key, Fraction(0)) + scaled
-            raw[key] = s
-        return UEAElement(raw)
-
-    def degrees(self):
-        return sorted({word_degree(w) for (w, _p) in self.terms})
+        return UEAElement(accumulate(
+            ((word, 0), coeff * value**p if p else coeff)
+            for (word, p), coeff in self.terms.items()
+        ))
 
     def __eq__(self, other):
         if not isinstance(other, UEAElement):
@@ -208,37 +175,14 @@ class UEAElement:
         )
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
+        terms = []
         for (word, cpow), coeff in self._sorted_terms():
-            factors = []
-            idx = 0
-            while idx < len(word):
-                run = 1
-                while idx + run < len(word) and word[idx + run] == word[idx]:
-                    run += 1
-                factors.append(
-                    f"L({word[idx]})" if run == 1 else f"L({word[idx]})^{run}"
-                )
-                idx += run
-            if cpow == 1:
-                factors.append("C")
-            elif cpow > 1:
-                factors.append(f"C^{cpow}")
-            body = "".join(factors) if factors else "1"
-            coeff_text = render_coeff(coeff)
-            if isinstance(coeff, MultiPoly) and not coeff.is_constant():
-                chunks.append(f"({coeff_text})*{body}")
-            elif coeff_text == "1" and factors:
-                chunks.append(body)
-            elif coeff_text == "-1" and factors:
-                chunks.append(f"-{body}")
-            elif factors:
-                chunks.append(f"{coeff_text}*{body}")
-            else:
-                chunks.append(coeff_text)
-        return " + ".join(chunks).replace("+ -", "- ")
+            runs = [(m, len(list(group))) for m, group in groupby(word)]
+            body = "".join(f"L({m})" if k == 1 else f"L({m})^{k}" for m, k in runs)
+            if cpow:
+                body += "C" if cpow == 1 else f"C^{cpow}"
+            terms.append((coeff, body))
+        return render_terms(terms)
 
     __repr__ = render
 
@@ -258,15 +202,3 @@ class UEAElement:
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed enveloping-algebra element: {exc}") from exc
         return cls(raw)
-
-
-def normal_order(e: UEAElement) -> UEAElement:
-    """Canonical form; UEAElements are already canonical, so this is identity
-    on them, but it also accepts a raw {(word, cpow): coeff} dict."""
-    if isinstance(e, UEAElement):
-        return e
-    return UEAElement(e)
-
-
-def transpose(e: UEAElement) -> UEAElement:
-    return e.transpose()

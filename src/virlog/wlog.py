@@ -27,11 +27,11 @@ from itertools import combinations_with_replacement
 from .errors import DomainError, ParseError
 from .polynomial import (
     Coeff,
-    MultiPoly,
+    accumulate,
     coeff_from_json,
     coeff_to_json,
     is_zero_coeff,
-    render_coeff,
+    render_terms,
     sym,
 )
 from .rational import render_rational
@@ -84,13 +84,7 @@ class WLogElement:
         return self.terms == other.terms and self.central == other.central
 
     def __add__(self, other: "WLogElement") -> "WLogElement":
-        out = dict(self.terms)
-        for gen, coeff in other.terms.items():
-            s = out.get(gen, Fraction(0)) + coeff
-            if is_zero_coeff(s):
-                out.pop(gen, None)
-            else:
-                out[gen] = s
+        out = accumulate(other.terms.items(), dict(self.terms))
         return WLogElement(out, self.central + other.central)
 
     def __sub__(self, other: "WLogElement") -> "WLogElement":
@@ -108,31 +102,8 @@ class WLogElement:
         return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     def render(self) -> str:
-        if self.is_zero():
-            return "0"
-        chunks = []
-        for (i, m), coeff in self._ordered():
-            body = f"t^({i})({m})"
-            text = render_coeff(coeff)
-            if isinstance(coeff, MultiPoly) and not coeff.is_constant():
-                chunks.append(f"({text})*{body}")
-            elif text == "1":
-                chunks.append(body)
-            elif text == "-1":
-                chunks.append(f"-{body}")
-            else:
-                chunks.append(f"{text}*{body}")
-        if not is_zero_coeff(self.central):
-            text = render_coeff(self.central)
-            if isinstance(self.central, MultiPoly) and not self.central.is_constant():
-                chunks.append(f"({text})*b")
-            elif text == "1":
-                chunks.append("b")
-            elif text == "-1":
-                chunks.append("-b")
-            else:
-                chunks.append(f"{text}*b")
-        return " + ".join(chunks).replace("+ -", "- ")
+        terms = [(coeff, f"t^({i})({m})") for (i, m), coeff in self._ordered()]
+        return render_terms(terms + [(self.central, CENTRAL)])
 
     __repr__ = render
 
@@ -213,14 +184,7 @@ class LaurentField:
         return self.terms == other.terms
 
     def __add__(self, other: "LaurentField") -> "LaurentField":
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            s = out.get(key, Fraction(0)) + coeff
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return LaurentField(out)
+        return LaurentField(accumulate(other.terms.items(), dict(self.terms)))
 
     def scale(self, factor) -> "LaurentField":
         factor = Fraction(factor)
@@ -232,29 +196,19 @@ class LaurentField:
         return self + other.scale(-1)
 
     def __mul__(self, other: "LaurentField") -> "LaurentField":
-        out: dict = {}
-        for (k1, s1), c1 in self.terms.items():
-            for (k2, s2), c2 in other.terms.items():
-                key = (k1 + k2, s1 + s2)
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return LaurentField(out)
+        return LaurentField(accumulate(
+            ((k1 + k2, s1 + s2), c1 * c2)
+            for (k1, s1), c1 in self.terms.items()
+            for (k2, s2), c2 in other.terms.items()
+        ))
 
     def derivative(self) -> "LaurentField":
-        out: dict = {}
-        for (k, s), c in self.terms.items():
-            for key, q in (((k - 1, s), k * c), ((k, s), s * c)):
-                if q == 0:
-                    continue
-                acc = out.get(key, Fraction(0)) + q
-                if acc == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-        return LaurentField(out)
+        return LaurentField(accumulate(
+            (key, q)
+            for (k, s), c in self.terms.items()
+            for key, q in (((k - 1, s), k * c), ((k, s), s * c))
+            if q
+        ))
 
     def residue(self) -> Fraction:
         """Exact coefficient of t^(-1) after expanding every exponential."""
@@ -316,12 +270,7 @@ def wlog_bracket(a, b, cocycle: str = "none") -> WLogElement:
     if a == CENTRAL or b == CENTRAL:
         return WLogElement()
     (i, m), (j, n) = a, b
-    terms: dict = {}
-    if m != n:
-        terms[(i + j, m + n)] = Fraction(m - n)
-    if i != j:
-        key = (i + j - 1, m + n)
-        terms[key] = terms.get(key, Fraction(0)) + (j - i)
+    terms = {(i + j, m + n): Fraction(m - n), (i + j - 1, m + n): Fraction(j - i)}
     return WLogElement(terms, fn(a, b))
 
 
@@ -336,15 +285,8 @@ def antiinvolution(e) -> WLogElement:
     """t^(i)(m) -> (-1)^i t^(i)(-m), linearly; fixes the central element."""
     if not isinstance(e, WLogElement):
         e = _element_of(e)
-    out: dict = {}
-    for (i, m), coeff in e.terms.items():
-        sign = Fraction(-1) if i % 2 else Fraction(1)
-        key = (i, -m)
-        s = out.get(key, Fraction(0)) + coeff * sign
-        if is_zero_coeff(s):
-            out.pop(key, None)
-        else:
-            out[key] = s
+    # (i, m) -> (i, -m) is one to one, so no two terms land on the same key
+    out = {(i, -m): -coeff if i % 2 else coeff for (i, m), coeff in e.terms.items()}
     return WLogElement(out, e.central)
 
 
@@ -446,24 +388,13 @@ def vacuum_expectation(word, cocycle: str = "residue") -> Coeff:
     """
     fn = _cocycle_fn(cocycle)
 
-    def apply_gen(gen, state):
-        out: dict = {}
-
-        def add(tup, coeff):
-            s = out.get(tup, Fraction(0)) + coeff
-            if is_zero_coeff(s):
-                out.pop(tup, None)
-            else:
-                out[tup] = s
-
-        for tup, coeff in state.items():
-            for tup2, c2 in _gen_on_tuple(gen, tup, fn).items():
-                add(tup2, coeff * c2)
-        return out
-
     state = {(): Fraction(1)}
     for gen in reversed([_check_generator(g) for g in word]):
-        state = apply_gen(gen, state)
+        state = accumulate(
+            (tup2, coeff * c2)
+            for tup, coeff in state.items()
+            for tup2, c2 in _gen_on_tuple(gen, tup, fn).items()
+        )
     return state.get((), Fraction(0))
 
 
@@ -477,30 +408,25 @@ def _gen_on_tuple(gen, tup: tuple, fn) -> dict:
     if not tup:
         return {}
     head, rest = tup[0], tup[1:]
-    out: dict = {}
-
-    def add(tup2, coeff):
-        s = out.get(tup2, Fraction(0)) + coeff
-        if is_zero_coeff(s):
-            out.pop(tup2, None)
-        else:
-            out[tup2] = s
-
+    pairs = []
     # commutator part: [gen, head] acting on the rest
     (hi, hm) = head
     if m != hm:
-        for tup2, c2 in _gen_on_tuple((i + hi, m + hm), rest, fn).items():
-            add(tup2, Fraction(m - hm) * c2)
+        pairs.extend(
+            (tup2, Fraction(m - hm) * c2)
+            for tup2, c2 in _gen_on_tuple((i + hi, m + hm), rest, fn).items()
+        )
     if i != hi:
-        for tup2, c2 in _gen_on_tuple((i + hi - 1, m + hm), rest, fn).items():
-            add(tup2, Fraction(hi - i) * c2)
+        pairs.extend(
+            (tup2, Fraction(hi - i) * c2)
+            for tup2, c2 in _gen_on_tuple((i + hi - 1, m + hm), rest, fn).items()
+        )
     central = fn(gen, head)
     if central != 0:
-        add(rest, central * sym("b"))
+        pairs.append((rest, central * sym("b")))
     # straight-through part: head (a creator) times gen acting deeper
-    for tup2, c2 in _gen_on_tuple(gen, rest, fn).items():
-        add((head,) + tup2, c2)
-    return out
+    pairs.extend(((head,) + tup2, c2) for tup2, c2 in _gen_on_tuple(gen, rest, fn).items())
+    return accumulate(pairs)
 
 
 def wlog_pairing(left_word, right_word, cocycle: str = "residue") -> Coeff:

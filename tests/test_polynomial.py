@@ -14,6 +14,7 @@ from virlog.errors import DomainError, ParseError, SymbolError
 from virlog.polynomial import (
     MultiPoly,
     UniPoly,
+    accumulate,
     poly_gcd,
     rational_roots,
     squarefree_part,
@@ -115,6 +116,16 @@ def test_subs_partial_keeps_symbols():
     p = c * h + h * h
     out = p.subs({"c": Fraction(2)})
     assert out == 2 * h + h * h
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(-2, 2)), max_size=12))
+def test_accumulate_sums_and_drops_zeros(pairs):
+    # few keys and small values, so sums cancel and keys come back after
+    want = {}
+    for key, value in pairs:
+        want[key] = want.get(key, 0) + value
+    got = accumulate((key, Fraction(value)) for key, value in pairs)
+    assert got == {key: value for key, value in want.items() if value}
 
 
 def test_render_graded_lex():
