@@ -1,16 +1,19 @@
 """Exact dense matrices: fraction-free determinants and rational kernels.
 
 Entries are Coeff = Fraction | MultiPoly.  The determinant uses Bareiss
-one-step fraction-free elimination, whose interior divisions are exact over
-the polynomial ring; that keeps symbolic Gram determinants factored-size
-instead of blowing up through the field of fractions.  Kernel computation is
-plain reduced row echelon over the rationals and therefore requires Fraction
-entries.
+one-step fraction-free elimination (Bareiss 1968, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination") on the matrix scaled to
+integer coefficients: every intermediate is a minor of the scaled matrix, so
+each interior division is exact in Z[vars] and no Fraction is built until
+the end.  Kernel computation is plain reduced row echelon over the rationals
+and therefore requires Fraction entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from math import lcm
 
 from .errors import DomainError, ParseError, ShapeError
 from .polynomial import (
@@ -18,25 +21,14 @@ from .polynomial import (
     MultiPoly,
     coeff_from_json,
     coeff_to_json,
+    divexact_terms,
+    exact_int_div,
     is_zero_coeff,
+    merge_vars,
+    mul_terms,
     render_coeff,
+    sub_terms,
 )
-
-
-def _div_exact(a: Coeff, b: Coeff) -> Coeff:
-    if isinstance(b, MultiPoly):
-        if b.is_constant():
-            b = b.constant_value()
-        else:
-            if isinstance(a, MultiPoly):
-                return a.divexact(b)
-            if a == 0:
-                return Fraction(0)
-            raise DomainError("inexact division of a scalar by a polynomial")
-    if b == 0:
-        raise ZeroDivisionError("exact division by zero")
-    inv = Fraction(1) / Fraction(b)
-    return a * inv
 
 
 class ExactMatrix:
@@ -97,33 +89,56 @@ class ExactMatrix:
     # -- determinant -------------------------------------------------------
 
     def determinant(self) -> Coeff:
-        """Bareiss fraction-free determinant (exact interior divisions)."""
+        """Bareiss fraction-free determinant over integer coefficients.
+
+        Every entry is aligned to the union of the entries' vars and scaled
+        by D, the lcm of all coefficient denominators, into an {exps: int}
+        term dict; elimination then runs on those dicts and divides exactly
+        in Z[vars].  The result is sign * det / D**n: a Fraction when no
+        entry is a MultiPoly, else a MultiPoly over that union of vars, and
+        Fraction(0) when a pivot column is zero.
+        """
         if self.rows != self.cols:
             raise ShapeError("determinant of a non-square matrix")
         n = self.rows
         if n == 0:
             return Fraction(1)
-        m = [row[:] for row in self.entries]
+        polys = [x for row in self.entries for x in row if isinstance(x, MultiPoly)]
+        vars = reduce(merge_vars, (p.vars for p in polys), ())
+        rows = [
+            [x._aligned(vars) if isinstance(x, MultiPoly) else {(0,) * len(vars): x} if x else {}
+             for x in row]
+            for row in self.entries
+        ]
+        scale = lcm(*(c.denominator for row in rows for terms in row for c in terms.values()))
+        m = [
+            [{e: c.numerator * (scale // c.denominator) for e, c in terms.items()} for terms in row]
+            for row in rows
+        ]
         sign = 1
-        prev: Coeff = Fraction(1)
+        prev = {(0,) * len(vars): 1}
         for k in range(n - 1):
-            if is_zero_coeff(m[k][k]):
-                pivot = next(
-                    (i for i in range(k + 1, n) if not is_zero_coeff(m[i][k])), None
-                )
+            if not m[k][k]:
+                pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
                 if pivot is None:
                     return Fraction(0)
                 m[k], m[pivot] = m[pivot], m[k]
                 sign = -sign
-            for i in range(k + 1, n):
+            top = m[k]
+            pivot_terms = top[k]
+            for row in m[k + 1:]:
+                below = row[k]
                 for j in range(k + 1, n):
-                    m[i][j] = _div_exact(
-                        m[k][k] * m[i][j] - m[i][k] * m[k][j], prev
-                    )
-                m[i][k] = Fraction(0)
-            prev = m[k][k]
-        det = m[n - 1][n - 1]
-        return -det if sign < 0 else det
+                    num = mul_terms(pivot_terms, row[j])
+                    if below and top[j]:
+                        num = sub_terms(num, mul_terms(below, top[j]))
+                    row[j] = divexact_terms(num, prev, exact_int_div)
+            prev = pivot_terms
+        denom = scale**n
+        det = {e: Fraction(sign * c, denom) for e, c in m[n - 1][n - 1].items()}
+        if polys:
+            return MultiPoly._raw(vars, det)
+        return det.get((), Fraction(0))
 
     def determinant_cofactor(self) -> Coeff:
         """Laplace expansion; exponential, kept as an independent cross-check."""

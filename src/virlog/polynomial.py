@@ -8,9 +8,9 @@ MultiPoly is a sparse polynomial over a fixed symbol registry:
 All arithmetic is exact; there is no floating point anywhere in this package.
 The canonical term order is graded lexicographic (total degree first, then
 lexicographic on the exponent vector, most significant variable first), used
-both for deterministic serialization and for the leading term in exact
-division.  Exact division is what makes fraction-free (Bareiss) elimination
-work over the polynomial ring.
+for deterministic serialization.  Exact division, which makes fraction-free
+(Bareiss) elimination work over the polynomial ring, takes leading terms in
+a graded order of its own (see divexact_terms).
 
 UniPoly is a dense univariate polynomial (coefficient list indexed by power)
 whose coefficients are Fractions or MultiPolys.  Root finding and gcd require
@@ -22,12 +22,17 @@ falls back to the reflected MultiPoly method).
 
 Every object in the package is a sparse {key: Coeff} combination, and
 accumulate and render_terms below are the one place where such terms are
-summed and printed.
+summed and printed.  The ring operations of MultiPoly work on bare term
+dicts through mul_terms, sub_terms and divexact_terms, which take int or
+Fraction coefficients alike; linalg runs Bareiss elimination on {exps: int}
+dicts with the same three helpers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add, sub, truediv
 from typing import Iterable, Union
 
 from .errors import DomainError, ParseError, SymbolError
@@ -52,7 +57,7 @@ def _check_vars(vars: tuple) -> tuple:
     return tuple(vars)
 
 
-def _merge_vars(a: tuple, b: tuple) -> tuple:
+def merge_vars(a: tuple, b: tuple) -> tuple:
     if a == b:
         return a
     merged = sorted(set(a) | set(b), key=_REG_INDEX.__getitem__)
@@ -73,6 +78,16 @@ class MultiPoly:
                     raise SymbolError(f"bad exponent tuple {exps} for vars {self.vars}")
                 clean.append((exps, coeff if isinstance(coeff, Fraction) else Fraction(coeff)))
         self.terms = accumulate(clean)
+
+    @classmethod
+    def _raw(cls, vars: tuple, terms: dict) -> "MultiPoly":
+        """Trusted constructor for results this module has computed: vars is
+        in registry order and terms maps exponent tuples of that width to
+        nonzero Fractions, so nothing is checked or summed again."""
+        poly = object.__new__(cls)
+        poly.vars = vars
+        poly.terms = terms
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -122,13 +137,6 @@ class MultiPoly:
         """Terms in descending graded-lex order (canonical listing)."""
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
-    def leading(self):
-        """(exps, coeff) of the graded-lex leading term; zero poly raises."""
-        if not self.terms:
-            raise DomainError("zero polynomial has no leading term")
-        exps = max(self.terms, key=lambda e: (sum(e), e))
-        return exps, self.terms[exps]
-
     def _aligned(self, vars: tuple) -> dict:
         """Re-express terms over a superset variable tuple."""
         if vars == self.vars:
@@ -157,26 +165,27 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        vars = _merge_vars(self.vars, other.vars)
+        vars = merge_vars(self.vars, other.vars)
         out = accumulate(other._aligned(vars).items(), dict(self._aligned(vars)))
-        return MultiPoly(vars, out)
+        return MultiPoly._raw(vars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._raw(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        vars = merge_vars(self.vars, other.vars)
+        return MultiPoly._raw(vars, sub_terms(self._aligned(vars), other._aligned(vars)))
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -185,18 +194,12 @@ class MultiPoly:
         if other.is_constant():
             q = other.constant_value()
             if q == 0:
-                return MultiPoly(self.vars, {})
-            return MultiPoly(self.vars, {e: c * q for e, c in self.terms.items()})
+                return MultiPoly._raw(self.vars, {})
+            return MultiPoly._raw(self.vars, {e: c * q for e, c in self.terms.items()})
         if self.is_constant():
             return other * self
-        vars = _merge_vars(self.vars, other.vars)
-        b = other._aligned(vars).items()
-        out = accumulate(
-            (tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
-            for e1, c1 in self._aligned(vars).items()
-            for e2, c2 in b
-        )
-        return MultiPoly(vars, out)
+        vars = merge_vars(self.vars, other.vars)
+        return MultiPoly._raw(vars, mul_terms(self._aligned(vars), other._aligned(vars)))
 
     __rmul__ = __mul__
 
@@ -228,20 +231,9 @@ class MultiPoly:
             raise DomainError("division by zero polynomial")
         if other.is_constant():
             return self / other.constant_value()
-        vars = _merge_vars(self.vars, other.vars)
-        rem = MultiPoly(vars, self._aligned(vars))
-        den = MultiPoly(vars, other._aligned(vars))
-        dl_exps, dl_coeff = den.leading()
-        quot: dict = {}
-        while not rem.is_zero():
-            rl_exps, rl_coeff = rem.leading()
-            diff = tuple(a - b for a, b in zip(rl_exps, dl_exps))
-            if any(d < 0 for d in diff):
-                raise DomainError("inexact polynomial division")
-            q = rl_coeff / dl_coeff
-            quot[diff] = quot.get(diff, Fraction(0)) + q
-            rem = rem - MultiPoly(vars, {diff: q}) * den
-        return MultiPoly(vars, quot)
+        vars = merge_vars(self.vars, other.vars)
+        quot = divexact_terms(self._aligned(vars), other._aligned(vars), truediv)
+        return MultiPoly._raw(vars, quot)
 
     # -- calculus and substitution ----------------------------------------
 
@@ -249,14 +241,14 @@ class MultiPoly:
         if var not in _REG_INDEX:
             raise SymbolError(f"unknown symbol {var!r}")
         if var not in self.vars:
-            return MultiPoly(self.vars, {})
+            return MultiPoly._raw(self.vars, {})
         i = self.vars.index(var)
         out = accumulate(
             (exps[:i] + (exps[i] - 1,) + exps[i + 1:], coeff * exps[i])
             for exps, coeff in self.terms.items()
             if exps[i]
         )
-        return MultiPoly(self.vars, out)
+        return MultiPoly._raw(self.vars, out)
 
     def subs(self, mapping: dict) -> Coeff:
         """Substitute symbols by Coeff values; unmapped symbols stay symbolic."""
@@ -290,7 +282,7 @@ class MultiPoly:
             return self.is_constant() and self.constant_value() == other
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        vars = _merge_vars(self.vars, other.vars)
+        vars = merge_vars(self.vars, other.vars)
         return self._aligned(vars) == other._aligned(vars)
 
     def __hash__(self):
@@ -397,6 +389,78 @@ def accumulate(pairs, out: dict | None = None) -> dict:
         if key in out and not out[key]:
             del out[key]
     return out
+
+
+def mul_terms(a: dict, b: dict) -> dict:
+    """Product of two term dicts {exps: coeff} over one vars tuple."""
+    out: dict = {}
+    get = out.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(map(add, e1, e2))
+            out[key] = get(key, 0) + c1 * c2
+    return {key: coeff for key, coeff in out.items() if coeff}
+
+
+def sub_terms(a: dict, b: dict) -> dict:
+    """Difference a - b of two term dicts over one vars tuple."""
+    out = dict(a)
+    get = out.get
+    for key, coeff in b.items():
+        diff = get(key, 0) - coeff
+        if diff:
+            out[key] = diff
+        else:
+            del out[key]
+    return out
+
+
+def exact_int_div(a: int, b: int) -> int:
+    """Integer quotient a / b; raises DomainError unless b divides a."""
+    q, r = divmod(a, b)
+    if r:
+        raise DomainError("inexact polynomial division")
+    return q
+
+
+def divexact_terms(num: dict, den: dict, div) -> dict:
+    """Quotient of two term dicts over one vars tuple, with div dividing
+    coefficients exactly (truediv for Fractions, exact_int_div for ints).
+
+    The remainder is one dict updated in place.  A heap of (-degree, exps)
+    keys yields its leading term: highest total degree first, ties broken
+    towards the lexicographically smallest exponent tuple.  That is a
+    monomial order, so every key a step adds sorts below the key it
+    removes; keys whose coefficient has cancelled are skipped when popped.
+    Raises DomainError if den does not divide num.
+    """
+    if not den:
+        raise DomainError("division by zero polynomial")
+    lead = min(den, key=lambda e: (-sum(e), e))
+    lc = den[lead]
+    rest = [(e, c) for e, c in den.items() if e != lead]
+    rem = dict(num)
+    heap = [(-sum(e), e) for e in rem]
+    heapify(heap)
+    get = rem.get
+    quot = {}
+    while heap:
+        _, exps = heappop(heap)
+        coeff = rem.pop(exps)
+        if not coeff:
+            continue
+        q = tuple(map(sub, exps, lead))
+        if q and min(q) < 0:
+            raise DomainError("inexact polynomial division")
+        qc = quot[q] = div(coeff, lc)
+        for e, c in rest:
+            key = tuple(map(add, q, e))
+            old = get(key)
+            if old is None:
+                heappush(heap, (-sum(key), key))
+                old = 0
+            rem[key] = old - qc * c
+    return quot
 
 
 def render_terms(items) -> str:

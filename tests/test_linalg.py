@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from virlog.errors import DomainError, ShapeError
 from virlog.linalg import ExactMatrix
-from virlog.polynomial import sym
+from virlog.polynomial import MultiPoly, coeff_to_json, sym
 
 fractions_s = st.fractions(min_value=-8, max_value=8, max_denominator=4)
 
@@ -54,6 +54,84 @@ def test_determinant_singular():
         ]
     )
     assert m.determinant() == 0
+
+
+small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@st.composite
+def symbolic_entries(draw):
+    """Zero (for zero pivots and row swaps), a Fraction, or a MultiPoly over
+    a subset of (c, h, t) with up to three terms."""
+    kind = draw(st.sampled_from(["zero", "fraction", "poly"]))
+    if kind == "zero":
+        return Fraction(0)
+    if kind == "fraction":
+        return draw(small_fractions)
+    vars = draw(st.sampled_from([("c",), ("h",), ("t",), ("c", "h"), ("c", "h", "t")]))
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * len(vars)), small_fractions, max_size=3))
+    return MultiPoly(vars, terms)
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(symbolic_entries(), min_size=n, max_size=n), min_size=n, max_size=n)))
+@settings(max_examples=80, deadline=None)
+def test_symbolic_bareiss_matches_cofactor(rows):
+    m = ExactMatrix(rows)
+    det = m.determinant()
+    assert det == m.determinant_cofactor()
+    if isinstance(det, MultiPoly):
+        assert all(type(q) is Fraction for q in det.terms.values())
+    elif any(isinstance(x, MultiPoly) for row in rows for x in row):
+        assert det == 0  # a zero pivot column ends elimination early
+
+
+c_, h_, t_ = sym("c"), sym("h"), sym("t")
+F = Fraction
+
+# return type and coeff_to_json of determinant(), recorded from the
+# elimination over Fraction and MultiPoly entries that preceded the
+# integer kernel
+def poly_doc(vars, *terms):
+    return {"vars": list(vars), "terms": [{"coeff": q, "exps": list(e)} for q, e in terms]}
+
+
+DETERMINANT_TABLE = {
+    "fraction-only": ([[F(1, 2), F(1, 3)], [F(1, 4), F(1, 5)]], "Fraction", "1/60"),
+    "fraction-swap": ([[F(0), F(2, 3)], [F(5, 6), F(7)]], "Fraction", "-5/9"),
+    "fraction-integers": ([[F(2), F(3)], [F(4), F(5)]], "Fraction", "-2"),
+    "one-by-one-symbolic": (
+        [[c_ + F(1, 2)]], "MultiPoly", poly_doc("c", ("1", (1,)), ("1/2", (0,)))),
+    "one-by-one-zero-poly": ([[c_ - c_]], "MultiPoly", poly_doc("c")),
+    "constant-det": (
+        [[c_, c_ - 1], [c_ + 1, c_]], "MultiPoly", poly_doc("c", ("1", (0,)))),
+    "constant-det-wider-vars": (
+        [[c_, c_ - 1, F(0)], [c_ + 1, c_, F(0)], [h_, F(1, 2), F(3)]],
+        "MultiPoly", poly_doc("ch", ("3", (0, 0)))),
+    "zero-det": ([[c_, h_], [2 * c_, 2 * h_]], "MultiPoly", poly_doc("ch")),
+    "zero-column": ([[F(0), c_], [F(0), h_]], "Fraction", "0"),
+    "swap-mixed": (
+        [[F(0), c_], [h_, F(1, 3)]], "MultiPoly", poly_doc("ch", ("-1", (1, 1)))),
+    "const-poly-entries": (
+        [[MultiPoly.const(2), F(1, 2)], [F(1, 3), F(1)]], "MultiPoly", poly_doc("", ("11/6", ()))),
+    "integer-coefficients": (
+        [[c_ + 1, h_], [2 * h_, c_]],
+        "MultiPoly", poly_doc("ch", ("1", (2, 0)), ("-2", (0, 2)), ("1", (1, 0)))),
+    "three-vars": (
+        [[t_, F(1, 12)], [c_, h_]],
+        "MultiPoly", poly_doc("cht", ("1", (0, 1, 1)), ("-1/12", (1, 0, 0)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DETERMINANT_TABLE))
+def test_determinant_type_and_json(name):
+    rows, type_name, doc = DETERMINANT_TABLE[name]
+    det = ExactMatrix(rows).determinant()
+    assert type(det).__name__ == type_name
+    assert coeff_to_json(det) == doc
+    if isinstance(det, MultiPoly):
+        assert all(type(q) is Fraction for q in det.terms.values())
 
 
 def test_symbolic_determinant():

@@ -7,7 +7,7 @@ checked against hand-computed expectations (small enough to verify by eye).
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from virlog.errors import DomainError, ParseError, SymbolError
@@ -15,6 +15,8 @@ from virlog.polynomial import (
     MultiPoly,
     UniPoly,
     accumulate,
+    divexact_terms,
+    exact_int_div,
     poly_gcd,
     rational_roots,
     squarefree_part,
@@ -50,12 +52,15 @@ fractions_s = st.fractions(
 
 
 @st.composite
-def mpolys(draw, vars=("c", "h"), max_terms=4, max_exp=3):
-    terms = {}
-    for _ in range(draw(st.integers(0, max_terms))):
-        exps = tuple(draw(st.integers(0, max_exp)) for _ in vars)
-        terms[exps] = draw(fractions_s)
+def mpolys(draw, vars=("c", "h"), max_terms=4, max_exp=3, min_terms=0):
+    exps = st.tuples(*[st.integers(0, max_exp)] * len(vars))
+    coeffs = fractions_s.filter(bool) if min_terms else fractions_s
+    terms = draw(st.dictionaries(exps, coeffs, min_size=min_terms, max_size=max_terms))
     return MultiPoly(vars, terms)
+
+
+# vars tuples (registry order) for drawing operands that often differ in vars
+var_tuples = st.sampled_from([("c",), ("h",), ("c", "h"), ("h", "t"), ("c", "h", "t")])
 
 
 def test_symbol_registry_is_enforced():
@@ -84,10 +89,23 @@ def test_fraction_interop_reflects(p):
     assert half - p == -(p - half)
 
 
-@given(mpolys(), mpolys())
-def test_divexact_inverts_multiplication(a, b):
+@given(st.data())
+def test_divexact_inverts_multiplication(data):
+    # operands on different vars tuples, e.g. (c,) and (h, t)
+    a = data.draw(mpolys(data.draw(var_tuples)))
+    b = data.draw(mpolys(data.draw(var_tuples)))
     if b.is_zero():
         return
+    assert (a * b).divexact(b) == a
+
+
+@given(
+    mpolys(("c", "h", "t"), max_terms=12, max_exp=2, min_terms=8),
+    mpolys(("c", "h", "t"), max_terms=12, max_exp=2, min_terms=8),
+)
+@settings(max_examples=40)
+def test_divexact_three_vars_many_terms(a, b):
+    # 8+ terms among 27 monomials: remainder keys cancel and come back
     assert (a * b).divexact(b) == a
 
 
@@ -95,6 +113,46 @@ def test_divexact_rejects_inexact():
     c, h = sym("c"), sym("h")
     with pytest.raises(DomainError):
         (c * c + 1).divexact(h)
+
+
+@given(st.data())
+def test_divexact_rejects_low_degree_remainder(data):
+    # a*b + r = q*b would make r = (q - a)*b, of total degree >= deg b
+    a = data.draw(mpolys(data.draw(var_tuples)))
+    b = data.draw(mpolys(data.draw(var_tuples), min_terms=1))
+    r = data.draw(mpolys(data.draw(var_tuples), min_terms=1))
+    low = MultiPoly(r.vars, {e: q for e, q in r.terms.items() if sum(e) < b.total_degree()})
+    assume(not low.is_zero())
+    with pytest.raises(DomainError):
+        (a * b + low).divexact(b)
+
+
+def test_divexact_terms_on_integers():
+    # 6c^2 + 4c = 2c * (3c + 2), quotient stays int
+    quot = divexact_terms({(2,): 6, (1,): 4}, {(1,): 2}, exact_int_div)
+    assert quot == {(1,): 3, (0,): 2}
+    assert all(type(q) is int for q in quot.values())
+    # (3c + 3) / (2c + 2) = 3/2 is not integral
+    with pytest.raises(DomainError):
+        divexact_terms({(1,): 3, (0,): 3}, {(1,): 2, (0,): 2}, exact_int_div)
+    with pytest.raises(DomainError):
+        divexact_terms({(1,): 3}, {(1,): 2}, exact_int_div)
+
+
+@given(st.data())
+def test_results_are_canonical(data):
+    # results built without re-validation must equal a validated rebuild
+    # and keep Fraction coefficients
+    a = data.draw(mpolys(data.draw(var_tuples)))
+    b = data.draw(mpolys(data.draw(var_tuples)))
+    q = data.draw(fractions_s)
+    results = [a + b, a - b, -a, a * b, a * q, q * a, a - q, q - a,
+               a.derivative("h"), a.derivative("t")]
+    if not b.is_zero():
+        results.append((a * b).divexact(b))
+    for r in results:
+        assert MultiPoly(r.vars, r.terms).terms == r.terms
+        assert all(type(c) is Fraction for c in r.terms.values())
 
 
 @given(mpolys(), mpolys())
