@@ -2,15 +2,14 @@
 """Paired benchmark runs of a base commit against the working tree.
 
     python3 scripts/bench_pairs.py --out BENCH.json
-    python3 scripts/bench_pairs.py --base HEAD~1 --workloads symbolic-det --pairs 10 --seed 101 --out B.json
 
-For every workload of BENCHMARK.json (or those named) the script makes
---pairs pairs of runs of `python3 perfbench/run.py`: one on a checkout of
-the base commit's files, extracted with `git archive` into a temporary
-directory that is removed afterwards, and one on the working tree.  Pair i
-runs both sides with seed --seed + i, at the benchmark's run_seconds and
-untraced, and the side that runs first alternates from pair to pair.  The
-script only runs perfbench/; it changes nothing there.
+For every workload of BENCHMARK.json the script makes PAIRS pairs of runs
+of `python3 perfbench/run.py`: one on a checkout of the files of HEAD,
+extracted with `git archive` into a temporary directory that is removed
+afterwards, and one on the working tree.  Pair i runs both sides with seed
+FIRST_SEED + i, at the benchmark's run_seconds and untraced, and the side
+that runs first alternates from pair to pair.  The script only runs
+perfbench/; it changes nothing there.
 
 The output JSON holds every run (metrics, attempted, failed), and for each
 end-to-end metric the median and quartiles of each side, the number of
@@ -33,6 +32,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+FIRST_SEED = 101
 
 
 def git(*args: str) -> str:
@@ -100,38 +101,32 @@ def summarize(runs: list, spec: list) -> dict:
 
 def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = [w["name"] for w in bench["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--base", default="HEAD", help="commit to compare against")
-    parser.add_argument("--workloads", nargs="+", choices=names, default=names)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=101, help="seed of the first pair")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
 
     seconds = bench["run_seconds"]
+    base = git("rev-parse", "HEAD")
     doc = {
-        "base": git("rev-parse", args.base),
-        "change": "working tree of " + git("rev-parse", "HEAD"),
+        "base": base,
+        "change": "working tree of " + base,
         "command": bench["command"] + ["--workload", "W", "--seed", "S", "--seconds",
                                        str(seconds), "--trace", "0"],
-        "pairs": args.pairs,
-        "first_seed": args.seed,
+        "pairs": PAIRS,
+        "first_seed": FIRST_SEED,
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "processor": platform.processor()},
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        extract(args.base, Path(tmp))
+        extract(base, Path(tmp))
         trees = {"base": Path(tmp) / "tree", "change": ROOT}
-        for workload in args.workloads:
+        for workload in (w["name"] for w in bench["workloads"]):
             runs = []
             doc["workloads"][workload] = {"runs": runs}
-            for i in range(args.pairs):
-                seed = args.seed + i
+            for i in range(PAIRS):
+                seed = FIRST_SEED + i
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 run = {"pair": i, "seed": seed, "first": order[0]}
                 for side in order:

@@ -4,9 +4,10 @@ rank-2 Jordan module, both symbolic in (c, h).
 
 For each level prints the basis size, the wall time of the fraction-free
 determinant, and whether det S_2 = (det S)^2 holds.  Level 5 (7x7 and
-14x14) is the largest case the acceptance budget covers and takes about
-13 s, nearly all of it the 14x14 determinant, on a 2-core x86-64 machine
-with Python 3.11 (levels 1-4 take under a second together).  Higher
+14x14) is the largest case the acceptance budget covers and takes 6-13 s,
+nearly all of it the 14x14 determinant, on a shared 2-core x86-64 machine
+with Python 3.11 whose speed varies (levels 1-4 take under a second
+together).  Higher
 levels work but the eliminations get slow (level 6 is already 11x11 and
 22x22).
 """

@@ -19,6 +19,7 @@ from .errors import DomainError, ParseError, ShapeError
 from .polynomial import (
     Coeff,
     MultiPoly,
+    accumulate,
     coeff_from_json,
     coeff_to_json,
     divexact_terms,
@@ -27,7 +28,6 @@ from .polynomial import (
     merge_vars,
     mul_terms,
     render_coeff,
-    sub_terms,
 )
 
 
@@ -127,17 +127,17 @@ class ExactMatrix:
             top = m[k]
             pivot_terms = top[k]
             for row in m[k + 1:]:
-                below = row[k]
+                neg_below = {e: -c for e, c in row[k].items()}
                 for j in range(k + 1, n):
                     num = mul_terms(pivot_terms, row[j])
-                    if below and top[j]:
-                        num = sub_terms(num, mul_terms(below, top[j]))
+                    if neg_below and top[j]:
+                        num = accumulate(mul_terms(neg_below, top[j]).items(), num)
                     row[j] = divexact_terms(num, prev, exact_int_div)
             prev = pivot_terms
         denom = scale**n
         det = {e: Fraction(sign * c, denom) for e, c in m[n - 1][n - 1].items()}
         if polys:
-            return MultiPoly._raw(vars, det)
+            return MultiPoly(vars, det)
         return det.get((), Fraction(0))
 
     def determinant_cofactor(self) -> Coeff:

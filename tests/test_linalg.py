@@ -92,7 +92,9 @@ F = Fraction
 
 # return type and coeff_to_json of determinant(), recorded from the
 # elimination over Fraction and MultiPoly entries that preceded the
-# integer kernel
+# integer kernel.  A symbolic result is over the union of the entries'
+# vars; the older elimination dropped the vars of constant factors, so in
+# "constant-entry-wider-vars" it gave vars ["c"] for the same polynomial.
 def poly_doc(vars, *terms):
     return {"vars": list(vars), "terms": [{"coeff": q, "exps": list(e)} for q, e in terms]}
 
@@ -118,6 +120,9 @@ DETERMINANT_TABLE = {
     "integer-coefficients": (
         [[c_ + 1, h_], [2 * h_, c_]],
         "MultiPoly", poly_doc("ch", ("1", (2, 0)), ("-2", (0, 2)), ("1", (1, 0)))),
+    "constant-entry-wider-vars": (
+        [[c_, F(0)], [F(0), MultiPoly(("h",), {(0,): 2})]],
+        "MultiPoly", poly_doc("ch", ("2", (1, 0)))),
     "three-vars": (
         [[t_, F(1, 12)], [c_, h_]],
         "MultiPoly", poly_doc("cht", ("1", (0, 1, 1)), ("-1/12", (1, 0, 0)))),

@@ -141,8 +141,8 @@ def test_divexact_terms_on_integers():
 
 @given(st.data())
 def test_results_are_canonical(data):
-    # results built without re-validation must equal a validated rebuild
-    # and keep Fraction coefficients
+    # results are canonical (a validated rebuild changes nothing) and keep
+    # Fraction coefficients
     a = data.draw(mpolys(data.draw(var_tuples)))
     b = data.draw(mpolys(data.draw(var_tuples)))
     q = data.draw(fractions_s)
@@ -178,12 +178,16 @@ def test_subs_partial_keeps_symbols():
 
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(-2, 2)), max_size=12))
 def test_accumulate_sums_and_drops_zeros(pairs):
-    # few keys and small values, so sums cancel and keys come back after
+    # few keys and small values, so sums cancel and keys come back after;
+    # the sums keep the type of the coefficients
     want = {}
     for key, value in pairs:
         want[key] = want.get(key, 0) + value
+    want = {key: value for key, value in want.items() if value}
     got = accumulate((key, Fraction(value)) for key, value in pairs)
-    assert got == {key: value for key, value in want.items() if value}
+    assert got == want and all(type(q) is Fraction for q in got.values())
+    got = accumulate(pairs)
+    assert got == want and all(type(q) is int for q in got.values())
 
 
 def test_render_graded_lex():
