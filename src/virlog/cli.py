@@ -36,6 +36,13 @@ from .rational import parse_rational, render_rational
 from .serialize import serialize
 from .wlog import CENTRAL, _cocycle_fn, check_jacobi, vacuum_expectation, wlog_bracket
 
+# Largest accepted size flags.  A level basis holds --jordan times the
+# partition count of --level vectors, and the Jacobi scan visits about
+# (2 * bound + 1)^6 / 6 generator triples.
+MAX_LEVEL = 8  # the default max_level of fusion_indicial
+MAX_JORDAN = 4
+MAX_JACOBI_LEVEL = 4
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the contract here is 1
@@ -88,7 +95,14 @@ def _add_module_flags(sub, symbolic: bool):
         sub.add_argument("--symbolic", action="store_true")
 
 
+def _check_cap(flag: str, value, cap: int) -> None:
+    if value is not None and value > cap:
+        raise DomainError(f"{flag} {value} is above the limit {cap}")
+
+
 def _module_from_args(args) -> JordanVermaModule:
+    _check_cap("--level", args.level, MAX_LEVEL)
+    _check_cap("--jordan", args.jordan, MAX_JORDAN)
     if getattr(args, "symbolic", False):
         if args.c is not None or args.h is not None:
             raise DomainError("--symbolic excludes numeric --c/--h")
@@ -135,6 +149,7 @@ def _cmd_hom_check(args):
 
 
 def _cmd_fusion(args):
+    _check_cap("--level", args.level, MAX_LEVEL)
     data = fusion_indicial(args.c, args.h1, args.h2, level=args.level)
     return data, 0
 
@@ -195,6 +210,7 @@ def _cmd_wlog_vev(args):
 
 
 def _cmd_wlog_jacobi(args):
+    _check_cap("--level", args.level, MAX_JACOBI_LEVEL)
     return check_jacobi(args.level, args.cocycle), 0
 
 

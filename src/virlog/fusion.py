@@ -20,6 +20,7 @@ from .errors import DomainError, ParseError
 from .modules import JordanVermaModule, ModuleVector, shapovalov_matrix, singular_vectors
 from .polynomial import (
     Coeff,
+    Combination,
     MultiPoly,
     UniPoly,
     accumulate,
@@ -50,8 +51,8 @@ def _falling_poly(var: str, n: int) -> UniPoly:
     return out
 
 
-class EulerOperator:
-    __slots__ = ("terms",)
+class EulerOperator(Combination):
+    __slots__ = ()
 
     def __init__(self, terms=None):
         clean: dict = {}
@@ -73,29 +74,10 @@ class EulerOperator:
     def monomial(cls, k: int, j: int, coeff=Fraction(1)) -> "EulerOperator":
         return cls({(k, j): coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, EulerOperator):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other: "EulerOperator") -> "EulerOperator":
-        return EulerOperator(accumulate(other.terms.items(), dict(self.terms)))
-
-    def __sub__(self, other: "EulerOperator") -> "EulerOperator":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, factor) -> "EulerOperator":
-        if is_zero_coeff(factor):
-            return EulerOperator()
-        return EulerOperator({key: c * factor for key, c in self.terms.items()})
-
     def compose(self, other: "EulerOperator") -> "EulerOperator":
         """Operator product self . other (self applied last)."""
         # d^j1 x^(-k2) = sum_i C(j1,i) (-k2)(-k2-1)... x^(-k2-i) d^(j1-i)
-        return EulerOperator(accumulate(
+        return self._of(accumulate(
             ((k1 + k2 + i, j1 + j2 - i), c1 * c2 * math.comb(j1, i) * fall)
             for (k1, j1), c1 in self.terms.items()
             for (k2, j2), c2 in other.terms.items()
@@ -129,7 +111,7 @@ class EulerOperator:
     def apply(self, series: "LogSeries") -> "LogSeries":
         n = self.require_homogeneous()
         derivs = _derivative_chain(self.indicial())
-        return LogSeries(accumulate(
+        return LogSeries._of(accumulate(
             ((r - n, p - i), amp * math.comb(p, i) * val)
             for (r, p), amp in series.terms.items()
             for i in range(min(p, len(derivs) - 1) + 1)
@@ -278,10 +260,10 @@ def fusion_indicial(c, h1, h2, level=None, max_level: int = 8) -> IndicialData:
 # -- logarithmic series and the resonance solve -----------------------------
 
 
-class LogSeries:
+class LogSeries(Combination):
     """Finite combination of x^r log(x)^p with rational exponents r."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
         clean: dict = {}
@@ -302,25 +284,6 @@ class LogSeries:
     @classmethod
     def monomial(cls, r, p: int = 0, coeff=Fraction(1)) -> "LogSeries":
         return cls({(Fraction(r), p): coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, LogSeries):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other: "LogSeries") -> "LogSeries":
-        return LogSeries(accumulate(other.terms.items(), dict(self.terms)))
-
-    def __sub__(self, other: "LogSeries") -> "LogSeries":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, factor) -> "LogSeries":
-        if is_zero_coeff(factor):
-            return LogSeries()
-        return LogSeries({key: c * factor for key, c in self.terms.items()})
 
     def coeff(self, r, p: int = 0) -> Coeff:
         return self.terms.get((Fraction(r), p), Fraction(0))
@@ -404,7 +367,7 @@ def solve_euler(op: EulerOperator, rhs: LogSeries):
     homogeneous = [
         LogSeries.monomial(r, j) for r, m in roots for j in range(m)
     ]
-    return LogSeries(accumulate(pairs)), homogeneous
+    return LogSeries._of(accumulate(pairs)), homogeneous
 
 
 # -- derived constants ------------------------------------------------------

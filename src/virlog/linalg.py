@@ -46,10 +46,6 @@ class ExactMatrix:
         i, j = key
         return self.entries[i][j]
 
-    def __setitem__(self, key, value):
-        i, j = key
-        self.entries[i][j] = value
-
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented

@@ -22,10 +22,16 @@ falls back to the reflected MultiPoly method).
 
 Every object in the package is a sparse {key: Coeff} combination, and
 accumulate and render_terms below are the one place where such terms are
-summed and printed.  The ring operations of MultiPoly work on bare term
-dicts through accumulate, mul_terms and divexact_terms, which take int or
-Fraction coefficients alike; linalg runs Bareiss elimination on {exps: int}
-dicts with the same three helpers.
+summed and printed.  Combination holds the vector-space operations (+, -,
+negation, scale, ==) of the combinations that have no extra fields:
+LaurentField, EulerOperator, LogSeries and UEAElement.  Their results, and
+their own products, are built with Combination._of from terms accumulate
+has cleaned, without a second pass through the checking __init__.
+
+The ring operations of MultiPoly work on bare term dicts through
+accumulate, mul_terms and divexact_terms, which take int or Fraction
+coefficients alike; linalg runs Bareiss elimination on {exps: int} dicts
+with the same three helpers.
 """
 
 from __future__ import annotations
@@ -379,6 +385,52 @@ def accumulate(pairs, out: dict | None = None) -> dict:
         if key in out and not out[key]:
             del out[key]
     return out
+
+
+class Combination:
+    """Finite linear combination: terms maps basis keys to nonzero Coeffs.
+
+    Subclasses check and convert outside input in their own __init__.  The
+    vector-space operations below, and the subclasses' own products, build
+    their results with _of from terms that are already clean.  Mixing two
+    subclasses in +, - or == is NotImplemented.
+    """
+
+    __slots__ = ("terms",)
+
+    @classmethod
+    def _of(cls, terms: dict):
+        """An instance over terms with valid keys and no zero coefficient."""
+        obj = object.__new__(cls)
+        obj.terms = terms
+        return obj
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._of(accumulate(other.terms.items(), dict(self.terms)))
+
+    def __neg__(self):
+        return self._of({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        neg = ((key, -c) for key, c in other.terms.items())
+        return self._of(accumulate(neg, dict(self.terms)))
+
+    def scale(self, factor):
+        if not factor:
+            return self._of({})
+        return self._of({key: c * factor for key, c in self.terms.items()})
 
 
 def mul_terms(a: dict, b: dict) -> dict:

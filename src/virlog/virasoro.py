@@ -23,7 +23,14 @@ from itertools import groupby
 from typing import Iterable
 
 from .errors import ParseError
-from .polynomial import accumulate, coeff_from_json, coeff_to_json, is_zero_coeff, render_terms
+from .polynomial import (
+    Combination,
+    accumulate,
+    coeff_from_json,
+    coeff_to_json,
+    is_zero_coeff,
+    render_terms,
+)
 
 Word = tuple  # tuple of mode indices
 
@@ -74,14 +81,14 @@ def word_degree(word: Word) -> int:
     return -sum(word)
 
 
-class UEAElement:
+class UEAElement(Combination):
     """Linear combination of canonical PBW words with Coeff coefficients.
 
     Keys are (word, central_power); the central element stays symbolic until
     a module specializes it.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: dict | None = None):
         self.terms = accumulate(
@@ -107,34 +114,6 @@ class UEAElement:
     def one(cls) -> "UEAElement":
         return cls({((), 0): Fraction(1)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        if not isinstance(other, UEAElement):
-            return NotImplemented
-        e = UEAElement()
-        # both inputs canonical, no restraightening needed
-        e.terms = accumulate(other.terms.items(), dict(self.terms))
-        return e
-
-    def __neg__(self):
-        e = UEAElement()
-        e.terms = {k: -c for k, c in self.terms.items()}
-        return e
-
-    def __sub__(self, other):
-        if not isinstance(other, UEAElement):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, factor) -> "UEAElement":
-        if is_zero_coeff(factor):
-            return UEAElement()
-        e = UEAElement()
-        e.terms = {k: c * factor for k, c in self.terms.items()}
-        return e
-
     def __mul__(self, other):
         if not isinstance(other, UEAElement):
             return NotImplemented
@@ -156,15 +135,11 @@ class UEAElement:
 
     def specialize_central(self, value) -> "UEAElement":
         """Replace C by a scalar (Rational or MultiPoly)."""
-        return UEAElement(accumulate(
+        # dropping C keeps every word canonical
+        return self._of(accumulate(
             ((word, 0), coeff * value**p if p else coeff)
             for (word, p), coeff in self.terms.items()
         ))
-
-    def __eq__(self, other):
-        if not isinstance(other, UEAElement):
-            return NotImplemented
-        return self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))

@@ -27,6 +27,7 @@ from itertools import combinations_with_replacement
 from .errors import DomainError, ParseError
 from .polynomial import (
     Coeff,
+    Combination,
     accumulate,
     coeff_from_json,
     coeff_to_json,
@@ -156,11 +157,11 @@ def cocycle_closed_form(a, b) -> Fraction:
     return total
 
 
-class LaurentField:
+class LaurentField(Combination):
     """Finite combination of t^k exp(s t); supports exactly the operations
     the residue cocycle needs."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
         clean: dict = {}
@@ -173,37 +174,18 @@ class LaurentField:
     @classmethod
     def from_generator(cls, gen) -> "LaurentField":
         i, m = _check_generator(gen)
-        return cls({(i, Fraction(-m)): Fraction(1)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentField):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other: "LaurentField") -> "LaurentField":
-        return LaurentField(accumulate(other.terms.items(), dict(self.terms)))
-
-    def scale(self, factor) -> "LaurentField":
-        factor = Fraction(factor)
-        if factor == 0:
-            return LaurentField()
-        return LaurentField({key: c * factor for key, c in self.terms.items()})
-
-    def __sub__(self, other: "LaurentField") -> "LaurentField":
-        return self + other.scale(-1)
+        # an int exponent equals and hashes like Fraction(-m) as a key
+        return cls._of({(i, -m): Fraction(1)})
 
     def __mul__(self, other: "LaurentField") -> "LaurentField":
-        return LaurentField(accumulate(
+        return self._of(accumulate(
             ((k1 + k2, s1 + s2), c1 * c2)
             for (k1, s1), c1 in self.terms.items()
             for (k2, s2), c2 in other.terms.items()
         ))
 
     def derivative(self) -> "LaurentField":
-        return LaurentField(accumulate(
+        return self._of(accumulate(
             (key, q)
             for (k, s), c in self.terms.items()
             for key, q in (((k - 1, s), k * c), ((k, s), s * c))

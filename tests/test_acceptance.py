@@ -4,9 +4,14 @@ Ten numbered criteria, each with an exactness requirement and a wall-clock
 budget.  Expected values are either published reference data, frozen
 derived values, or defining identities; nothing here is tuned to the
 implementation.  Budgets are asserted with time.monotonic around just the
-computation under test.
+computation under test.  Criteria 03, 08, 09 and 10 read the fixture rows
+of one `virlog report --json` run, made once for the module, so no fixture
+is computed twice.
 """
 
+import contextlib
+import io
+import json
 import time
 from fractions import Fraction
 
@@ -14,7 +19,7 @@ import pytest
 
 from virlog.cli import main
 from virlog.errors import DomainError
-from virlog.fixtures import run_fixture
+from virlog.fixtures import fixture_ids
 from virlog.fusion import (
     EulerOperator,
     LogSeries,
@@ -45,6 +50,20 @@ def timed(fn):
     start = time.monotonic()
     out = fn()
     return out, time.monotonic() - start
+
+
+@pytest.fixture(scope="module")
+def report():
+    """(exit code, elapsed seconds, rows) of one `virlog report --json`."""
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code, elapsed = timed(lambda: main(["report", "--json"]))
+    return code, elapsed, json.loads(buffer.getvalue())
+
+
+def fixture_rows(report, ids):
+    rows = {row["id"]: row for row in report[2]}
+    return [rows[fid] for fid in ids]
 
 
 def reference_diag_level3():
@@ -97,10 +116,10 @@ def test_criterion_02_level3_determinant():
     assert elapsed < 5.0
 
 
-def test_criterion_03_square_law_levels_1_to_5():
-    result, elapsed = timed(lambda: run_fixture("03-block-square-law"))
-    assert result.status == "pass", result.computed
-    assert elapsed < 600.0
+def test_criterion_03_square_law_levels_1_to_5(report):
+    (row,) = fixture_rows(report, ["03-block-square-law"])
+    assert row["status"] == "pass", row["computed"]
+    assert float(row["seconds"]) < 600.0
 
 
 def test_criterion_04_singular_fixtures():
@@ -187,30 +206,28 @@ def test_criterion_07_ope_coefficient():
     assert elapsed < 1.0
 
 
-def test_criterion_08_property_suites():
+def test_criterion_08_property_suites(report):
     total = 0.0
-    for fid in (
+    for row in fixture_rows(report, [
         "08a-virasoro-jacobi",
         "08b-module-commutator",
         "08c-density-consistency",
         "08d-singular-count-bound",
-    ):
-        result = run_fixture(fid)
-        assert result.status == "pass", (fid, result.computed)
-        total += result.seconds
+    ]):
+        assert row["status"] == "pass", (row["id"], row["computed"])
+        total += float(row["seconds"])
     assert total < 120.0
 
 
-def test_criterion_09_wlog_suite():
+def test_criterion_09_wlog_suite(report):
     total = 0.0
-    for fid in (
+    for row in fixture_rows(report, [
         "09a-wlog-jacobi",
         "09b-wlog-cocycle-identity",
         "09c-wlog-horizontal",
-    ):
-        result = run_fixture(fid)
-        assert result.status == "pass", (fid, result.computed)
-        total += result.seconds
+    ]):
+        assert row["status"] == "pass", (row["id"], row["computed"])
+        total += float(row["seconds"])
 
     (value, deviations), elapsed = timed(
         lambda: (wlog_pairing([(-1, -2)], [(0, -2)], "residue"), wlog_deviations(3))
@@ -225,13 +242,16 @@ def test_criterion_09_wlog_suite():
     assert total < 300.0
 
 
-def test_criterion_10_report_end_to_end(capsys):
-    code, elapsed = timed(lambda: main(["report"]))
-    out = capsys.readouterr().out
+def test_criterion_10_report_end_to_end(report):
+    code, elapsed, rows = report
     assert code == 0
     assert elapsed < 900.0
-    for token in ("01-appendix-matrix", "09h-wlog-second-pairing", "published"):
-        assert token in out
-    assert "known-deviation" in out
-    for line in out.splitlines():
-        assert not line.strip().startswith("fail")
+    assert [row["id"] for row in rows] == fixture_ids()
+    assert any(row["provenance"] == "published" for row in rows)
+    deviations = {row["id"] for row in rows if row["status"] == "known-deviation"}
+    assert deviations == {
+        "09f-wlog-orientation",
+        "09g-wlog-vertical-center",
+        "09h-wlog-second-pairing",
+    }
+    assert all(row["status"] != "fail" for row in rows)

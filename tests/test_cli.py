@@ -11,8 +11,10 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from virlog.cli import main
-from virlog.fixtures import FixtureResult
+from virlog.fixtures import FixtureResult, report_table
 from virlog.modules import JordanVermaModule, shapovalov_determinant, shapovalov_matrix
 from virlog.serialize import deserialize
 
@@ -242,6 +244,51 @@ def test_failing_fixture_exits_two(capsys, monkeypatch):
     code, out, _ = run(capsys, "fixture", "01-appendix-matrix")
     assert code == 2
     assert "fail" in out
+
+
+def test_report_table_layout():
+    table = report_table([
+        FixtureResult("01-appendix-matrix", "published", "pass", "a", "a", 0.0125),
+        FixtureResult("09f-wlog-orientation", "derived", "known-deviation", "x = 1",
+                      "x = -1", 1.5),
+    ])
+    assert table.splitlines() == [
+        "fixture               provenance   status          seconds",
+        "--------------------  ------------ --------------- -------",
+        "01-appendix-matrix    published    pass              0.013",
+        "09f-wlog-orientation  derived      known-deviation   1.500",
+        "                        expected: x = 1",
+        "                        computed: x = -1",
+        "1 known-deviation, 1 pass",
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["det", "--level", "9", "--c", "1", "--h", "1"],
+    ["det", "--level", str(10**30), "--symbolic"],
+    ["det", "--level", "0", "--jordan", "5", "--c", "1", "--h", "1"],
+    ["det", "--level", "0", "--jordan", "1000000000", "--c", "1", "--h", "1"],
+    ["shapovalov", "--level", "9", "--symbolic"],
+    ["singular", "--level", "9", "--c", "1", "--h", "1"],
+    ["radical", "--level", str(10**30), "--c", "1", "--h", "1"],
+    ["hom-check", "--level", "9", "--c", "1", "--h", "1"],
+    ["hom-check", "--level", "1", "--jordan", str(10**9), "--c", "1", "--h", "1"],
+    ["fusion", "--c", "1", "--h1", "1", "--h2", "1", "--level", "9"],
+    ["fusion", "--c", "1", "--h1", "1", "--h2", "1", "--level", str(10**30)],
+    ["wlog", "jacobi", "--level", "5"],
+    ["wlog", "jacobi", "--level", str(10**30)],
+])
+def test_oversized_input_exits_one(capsys, monkeypatch, argv):
+    # at the cap + 1 and far above it: refused before any computation
+    def never(*args, **kwargs):
+        raise AssertionError("computation started")
+
+    for name in ("JordanVermaModule", "fusion_indicial", "check_jacobi"):
+        monkeypatch.setattr(f"virlog.cli.{name}", never)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("virlog: error: --") and "above the limit" in err
 
 
 def test_module_runner_smoke():

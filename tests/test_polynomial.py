@@ -11,18 +11,22 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from virlog.errors import DomainError, ParseError, SymbolError
+from virlog.fusion import EulerOperator, LogSeries
 from virlog.polynomial import (
     MultiPoly,
     UniPoly,
     accumulate,
     divexact_terms,
     exact_int_div,
+    is_zero_coeff,
     poly_gcd,
     rational_roots,
     squarefree_part,
     sym,
 )
 from virlog.rational import parse_rational, render_rational
+from virlog.virasoro import UEAElement
+from virlog.wlog import LaurentField
 
 # -- rationals --------------------------------------------------------------
 
@@ -188,6 +192,47 @@ def test_accumulate_sums_and_drops_zeros(pairs):
     assert got == want and all(type(q) is Fraction for q in got.values())
     got = accumulate(pairs)
     assert got == want and all(type(q) is int for q in got.values())
+
+
+# Two elements of each Combination subclass; a + b cancels a term of a.
+COMBINATIONS = [
+    (
+        LaurentField({(2, 3): 1, (-1, 0): Fraction(-1, 2)}),
+        LaurentField({(-1, 0): Fraction(1, 2), (0, Fraction(1, 3)): 4}),
+    ),
+    (
+        EulerOperator({(0, 2): 1, (1, 1): Fraction(3, 2)}),
+        EulerOperator({(1, 1): Fraction(-3, 2), (2, 0): sym("b")}),
+    ),
+    (
+        LogSeries({(Fraction(3, 4), 1): Fraction(1, 3) * sym("b"), (0, 0): Fraction(2)}),
+        LogSeries({(Fraction(3, 4), 1): Fraction(-1, 3) * sym("b"), (Fraction(-5, 4), 0): 1}),
+    ),
+    (
+        UEAElement.from_word((-1, -2)),  # L(-2)L(-1) + L(-3)
+        UEAElement({((-3,), 0): Fraction(-1), ((), 1): sym("c")}),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "a, b", COMBINATIONS, ids=[type(a).__name__ for a, _ in COMBINATIONS]
+)
+def test_combination_vector_space(a, b):
+    other = next(x for x, _ in COMBINATIONS if type(x) is not type(a))
+    assert a + b - b == a
+    assert (-a + a).is_zero()
+    assert a.scale(0).is_zero()
+    assert len((a + b).terms) < len(a.terms) + len(b.terms)
+    for result in (a + b, a - b, b - a, -a, a.scale(Fraction(-2, 3)), a.scale(0)):
+        assert type(result) is type(a)
+        assert all(not is_zero_coeff(c) for c in result.terms.values())
+    assert (a == other) is False
+    assert (a == Fraction(1)) is False
+    with pytest.raises(TypeError):
+        a + other
+    with pytest.raises(TypeError):
+        a - other
 
 
 def test_render_graded_lex():

@@ -216,6 +216,20 @@ def test_laurent_residues():
     assert LaurentField({(0, F(5)): F(1)}).residue() == 0
 
 
+@pytest.mark.parametrize("i, m", [(0, 0), (1, -2), (-3, -2), (-1, 5), (2, 1)])
+def test_laurent_from_generator_int_exponent(i, m):
+    # from_generator keeps the exponent -m an int; as a key it equals and
+    # hashes like Fraction(-m), so the field and its residues are the same
+    f = LaurentField.from_generator((i, m))
+    g = LaurentField({(i, F(-m)): 1})
+    assert f == g
+    assert f.residue() == g.residue()
+    f3 = f.derivative().derivative().derivative()
+    g3 = g.derivative().derivative().derivative()
+    assert f3 == g3
+    assert (f3 * f).residue() == (g3 * g).residue()
+
+
 # -- deviations -------------------------------------------------------------
 
 
