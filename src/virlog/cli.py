@@ -34,7 +34,7 @@ from .modules import (
 )
 from .rational import parse_rational, render_rational
 from .serialize import serialize
-from .wlog import CENTRAL, _cocycle_fn, check_jacobi, vacuum_expectation, wlog_bracket
+from .wlog import _COCYCLES, CENTRAL, _cocycle_fn, check_jacobi, vacuum_expectation, wlog_bracket
 
 # Largest accepted size flags.  A level basis holds --jordan times the
 # partition count of --level vectors, and the Jacobi scan visits about
@@ -291,14 +291,14 @@ def _build_parser() -> _Parser:
     sub = wsubs.add_parser("bracket", help="bracket of two generators i:m")
     sub.add_argument("left", type=_generator)
     sub.add_argument("right", type=_generator)
-    sub.add_argument("--cocycle", choices=["none", "closed", "residue"], default="none")
+    sub.add_argument("--cocycle", choices=list(_COCYCLES), default="none")
     _add_output_flags(sub)
     sub.set_defaults(handler=_cmd_wlog_bracket)
 
     sub = wsubs.add_parser("cocycle", help="cocycle value on two generators i:m")
     sub.add_argument("left", type=_generator)
     sub.add_argument("right", type=_generator)
-    sub.add_argument("--cocycle", choices=["none", "closed", "residue"], default="residue")
+    sub.add_argument("--cocycle", choices=list(_COCYCLES), default="residue")
     _add_output_flags(sub)
     sub.set_defaults(handler=_cmd_wlog_cocycle)
 
@@ -306,13 +306,13 @@ def _build_parser() -> _Parser:
         "vev", help="vacuum expectation of a word of generators (and b factors)"
     )
     sub.add_argument("word", nargs="*", type=_generator)
-    sub.add_argument("--cocycle", choices=["none", "closed", "residue"], default="residue")
+    sub.add_argument("--cocycle", choices=list(_COCYCLES), default="residue")
     _add_output_flags(sub)
     sub.set_defaults(handler=_cmd_wlog_vev)
 
     sub = wsubs.add_parser("jacobi", help="scan the Jacobi identity up to a bound")
     sub.add_argument("--level", type=int, default=2, help="bound on |i| and |m|")
-    sub.add_argument("--cocycle", choices=["none", "closed", "residue"], default="none")
+    sub.add_argument("--cocycle", choices=list(_COCYCLES), default="none")
     _add_output_flags(sub)
     sub.set_defaults(handler=_cmd_wlog_jacobi)
 

@@ -27,7 +27,6 @@ from .polynomial import (
     as_fraction,
     coeff_from_json,
     coeff_to_json,
-    is_zero_coeff,
     poly_gcd,
     rational_roots,
     render_terms,
@@ -60,7 +59,7 @@ class EulerOperator(Combination):
             k, j = int(k), int(j)
             if j < 0:
                 raise DomainError("negative derivative order in Euler operator")
-            if not is_zero_coeff(coeff):
+            if coeff:
                 clean[(k, j)] = (
                     coeff if isinstance(coeff, MultiPoly) else Fraction(coeff)
                 )
@@ -115,7 +114,7 @@ class EulerOperator(Combination):
             ((r - n, p - i), amp * math.comb(p, i) * val)
             for (r, p), amp in series.terms.items()
             for i in range(min(p, len(derivs) - 1) + 1)
-            if not is_zero_coeff(val := derivs[i].evaluate(r))
+            if (val := derivs[i].evaluate(r))
         ))
 
     def _ordered(self):
@@ -277,7 +276,7 @@ class LogSeries(Combination):
             p = int(p)
             if p < 0:
                 raise DomainError("negative log power")
-            if not is_zero_coeff(coeff):
+            if coeff:
                 clean[(r, p)] = coeff
         self.terms = clean
 
@@ -363,7 +362,7 @@ def solve_euler(op: EulerOperator, rhs: LogSeries):
                     jj - k
                 ].evaluate(s)
             beta[j] = target / (math.comb(j, mu) * lead)
-        pairs.extend(((s, j), val) for j, val in beta.items() if not is_zero_coeff(val))
+        pairs.extend(((s, j), val) for j, val in beta.items() if val)
     homogeneous = [
         LogSeries.monomial(r, j) for r, m in roots for j in range(m)
     ]

@@ -24,7 +24,6 @@ from .polynomial import (
     coeff_to_json,
     divexact_terms,
     exact_int_div,
-    is_zero_coeff,
     merge_vars,
     mul_terms,
     render_coeff,
@@ -58,21 +57,6 @@ class ExactMatrix:
                 for j in range(self.cols)
             )
         )
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
-    @classmethod
-    def stack_rows(cls, *mats: "ExactMatrix") -> "ExactMatrix":
-        cols = {m.cols for m in mats}
-        if len(cols) != 1:
-            raise ShapeError(f"column counts differ: {sorted(cols)}")
-        out = []
-        for m in mats:
-            out.extend(m.entries)
-        return cls(out)
 
     def matvec(self, vec):
         if len(vec) != self.cols:
@@ -148,7 +132,7 @@ class ExactMatrix:
         total: Coeff = Fraction(0)
         for j in range(n):
             a = self.entries[0][j]
-            if is_zero_coeff(a):
+            if not a:
                 continue
             minor = ExactMatrix(
                 [

@@ -39,7 +39,6 @@ from .polynomial import (
     accumulate,
     coeff_from_json,
     coeff_to_json,
-    is_zero_coeff,
     render_terms,
     sym,
 )
@@ -223,7 +222,7 @@ class ModuleVector:
                 raise ShapeError(f"label {lam} is not a partition of level {self.level}")
             if not 1 <= top <= self.module.jordan:
                 raise ShapeError(f"top index {top} outside 1..{self.module.jordan}")
-            if not is_zero_coeff(coeff):
+            if coeff:
                 clean[(lam, top)] = coeff
         self.terms = clean
 
@@ -251,7 +250,7 @@ class ModuleVector:
         return self + other.scale(Fraction(-1))
 
     def scale(self, factor) -> "ModuleVector":
-        if is_zero_coeff(factor):
+        if not factor:
             return ModuleVector(self.module, self.level, {})
         return ModuleVector(
             self.module, self.level, {k: c * factor for k, c in self.terms.items()}
@@ -307,7 +306,7 @@ class ModuleVector:
         """Scale so the first nonzero coefficient in basis order is 1."""
         for label in level_basis(self.module, self.level):
             coeff = self.terms.get(label)
-            if coeff is not None and not is_zero_coeff(coeff):
+            if coeff:
                 if isinstance(coeff, MultiPoly):
                     raise DomainError("cannot normalize a symbolic vector")
                 return self.scale(Fraction(1) / coeff)
@@ -497,11 +496,11 @@ def density_action(mod: DensityModule, m: int, label) -> dict:
     lam, mu, beta = mod._coeffs()
     out = {}
     main = mu + r + lam * (m + 1)
-    if not is_zero_coeff(main):
+    if main:
         out[(r - m, i)] = main
     if i > 0:
         shift = beta * i
-        if not is_zero_coeff(shift):
+        if shift:
             out[(r - m, i - 1)] = shift
     return out
 

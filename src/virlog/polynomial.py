@@ -24,9 +24,10 @@ Every object in the package is a sparse {key: Coeff} combination, and
 accumulate and render_terms below are the one place where such terms are
 summed and printed.  Combination holds the vector-space operations (+, -,
 negation, scale, ==) of the combinations that have no extra fields:
-LaurentField, EulerOperator, LogSeries and UEAElement.  Their results, and
-their own products, are built with Combination._of from terms accumulate
-has cleaned, without a second pass through the checking __init__.
+LaurentField, EulerOperator, LogSeries, UEAElement and WLogElement (whose
+central coefficient is one more basis key).  Their results, and their own
+products, are built with Combination._of from terms accumulate has cleaned,
+without a second pass through the checking __init__.
 
 The ring operations of MultiPoly work on bare term dicts through
 accumulate, mul_terms and divexact_terms, which take int or Fraction
@@ -342,12 +343,6 @@ def as_fraction(x) -> Fraction:
     return x
 
 
-def is_zero_coeff(x) -> bool:
-    if isinstance(x, MultiPoly):
-        return x.is_zero()
-    return x == 0
-
-
 def coeff_to_json(x):
     """Rational -> "p/q" string; polynomial -> schema object."""
     if isinstance(x, MultiPoly):
@@ -537,7 +532,7 @@ class UniPoly:
     def __init__(self, var: str, coeffs: Iterable = ()):
         self.var = str(var)
         cs = list(coeffs)
-        while cs and is_zero_coeff(cs[-1]):
+        while cs and not cs[-1]:
             cs.pop()
         self.coeffs = [
             c if isinstance(c, MultiPoly) else Fraction(c) for c in cs
@@ -612,7 +607,7 @@ class UniPoly:
             return UniPoly.zero(self.var)
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if is_zero_coeff(a):
+            if not a:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
@@ -712,7 +707,7 @@ class UniPoly:
             "terms": [
                 {"coeff": coeff_to_json(c), "exps": [k]}
                 for k in range(len(self.coeffs) - 1, -1, -1)
-                if not is_zero_coeff(c := self.coeffs[k])
+                if (c := self.coeffs[k])
             ],
         }
 
@@ -739,18 +734,6 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     if a.is_zero():
         return a
     return a.monic()
-
-
-def squarefree_part(p: UniPoly) -> UniPoly:
-    """Monic product of the distinct irreducible factors of p."""
-    if p.is_zero():
-        raise DomainError("squarefree part of the zero polynomial")
-    if p.degree() == 0:
-        return UniPoly.const(p.var, 1)
-    g = poly_gcd(p, p.derivative())
-    if g.degree() == 0:
-        return p.monic()
-    return p.divexact(g).monic()
 
 
 def _divisors(n: int):

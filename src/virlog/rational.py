@@ -14,8 +14,6 @@ from fractions import Fraction
 
 from .errors import ParseError
 
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*([+-]?\d+)\s*)?$")
 
 

@@ -28,7 +28,6 @@ from .polynomial import (
     accumulate,
     coeff_from_json,
     coeff_to_json,
-    is_zero_coeff,
     render_terms,
 )
 
@@ -94,7 +93,7 @@ class UEAElement(Combination):
         self.terms = accumulate(
             ((w, p + cpow), coeff * q)
             for (word, cpow), coeff in terms.items()
-            if not is_zero_coeff(coeff)
+            if coeff
             for (w, p), q in straighten_word(word).items()
         ) if terms else {}
 

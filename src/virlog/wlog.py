@@ -12,6 +12,10 @@ t^(i)(m) -> t^i exp(-mt) d/dt, which is defined everywhere and serves as
 ground truth.  The two differ by a global sign on every nonzero pair we
 can compare; wlog_deviations collects those pairs.
 
+The central element b is one more basis vector: a WLogElement is a
+Combination over the keys (i, m) and CENTRAL, and wlog_bracket extends the
+generator bracket bilinearly over elements, with b bracketing to zero.
+
 The vacuum vector v_b is annihilated by every generator with mode m >= 0,
 generators with m < 0 create, and the central element acts by the symbol
 b.  This is the convention under which the printed pairing value 2b/3
@@ -31,7 +35,6 @@ from .polynomial import (
     accumulate,
     coeff_from_json,
     coeff_to_json,
-    is_zero_coeff,
     render_terms,
     sym,
 )
@@ -52,21 +55,23 @@ def _check_generator(gen):
     return (i, m)
 
 
-class WLogElement:
-    """Finite combination of generators plus a central coefficient."""
+class WLogElement(Combination):
+    """Finite combination of generators t^(i)(m) and the central element;
+    the central coefficient is stored under the key CENTRAL."""
 
-    __slots__ = ("terms", "central")
+    __slots__ = ()
 
     def __init__(self, terms=None, central=Fraction(0)):
         clean: dict = {}
         for gen, coeff in (terms or {}).items():
             if gen == CENTRAL:
-                raise DomainError("central coefficient goes in the central slot")
+                raise DomainError("central coefficient goes in the central argument")
             i, m = _check_generator(gen)
-            if not is_zero_coeff(coeff):
+            if coeff:
                 clean[(i, m)] = coeff
+        if central:
+            clean[CENTRAL] = central
         self.terms = clean
-        self.central = central if not is_zero_coeff(central) else Fraction(0)
 
     @classmethod
     def generator(cls, i: int, m: int, coeff=Fraction(1)) -> "WLogElement":
@@ -76,31 +81,15 @@ class WLogElement:
     def central_element(cls, coeff=Fraction(1)) -> "WLogElement":
         return cls({}, coeff)
 
-    def is_zero(self) -> bool:
-        return not self.terms and is_zero_coeff(self.central)
-
-    def __eq__(self, other):
-        if not isinstance(other, WLogElement):
-            return NotImplemented
-        return self.terms == other.terms and self.central == other.central
-
-    def __add__(self, other: "WLogElement") -> "WLogElement":
-        out = accumulate(other.terms.items(), dict(self.terms))
-        return WLogElement(out, self.central + other.central)
-
-    def __sub__(self, other: "WLogElement") -> "WLogElement":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, factor) -> "WLogElement":
-        if is_zero_coeff(factor):
-            return WLogElement()
-        return WLogElement(
-            {gen: c * factor for gen, c in self.terms.items()},
-            self.central * factor,
-        )
+    @property
+    def central(self):
+        return self.terms.get(CENTRAL, Fraction(0))
 
     def _ordered(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
+        """The generator terms in key order, without the central one."""
+        return sorted(
+            (kv for kv in self.terms.items() if kv[0] != CENTRAL), key=lambda kv: kv[0]
+        )
 
     def render(self) -> str:
         terms = [(coeff, f"t^({i})({m})") for (i, m), coeff in self._ordered()]
@@ -239,15 +228,13 @@ def wlog_bracket(a, b, cocycle: str = "none") -> WLogElement:
     """Bracket of two generators (or elements, extended bilinearly)."""
     fn = _cocycle_fn(cocycle)
     if isinstance(a, WLogElement) or isinstance(b, WLogElement):
-        if not isinstance(a, WLogElement):
-            a = _element_of(a)
-        if not isinstance(b, WLogElement):
-            b = _element_of(b)
-        out = WLogElement()
-        for g1, c1 in a.terms.items():
-            for g2, c2 in b.terms.items():
-                out = out + wlog_bracket(g1, g2, cocycle).scale(c1 * c2)
-        return out  # central parts bracket to zero
+        a, b = _element_of(a), _element_of(b)
+        return WLogElement._of(accumulate(
+            (gen, c1 * c2 * q)
+            for g1, c1 in a.terms.items()
+            for g2, c2 in b.terms.items()
+            for gen, q in wlog_bracket(g1, g2, cocycle).terms.items()
+        ))
     a, b = _check_generator(a), _check_generator(b)
     if a == CENTRAL or b == CENTRAL:
         return WLogElement()
@@ -256,19 +243,18 @@ def wlog_bracket(a, b, cocycle: str = "none") -> WLogElement:
     return WLogElement(terms, fn(a, b))
 
 
-def _element_of(gen) -> WLogElement:
-    gen = _check_generator(gen)
-    if gen == CENTRAL:
-        return WLogElement.central_element()
-    return WLogElement.generator(*gen)
+def _element_of(x) -> WLogElement:
+    """x itself if it is an element, else the generator x as one."""
+    if isinstance(x, WLogElement):
+        return x
+    return WLogElement._of({_check_generator(x): Fraction(1)})
 
 
 def antiinvolution(e) -> WLogElement:
     """t^(i)(m) -> (-1)^i t^(i)(-m), linearly; fixes the central element."""
-    if not isinstance(e, WLogElement):
-        e = _element_of(e)
+    e = _element_of(e)
     # (i, m) -> (i, -m) is one to one, so no two terms land on the same key
-    out = {(i, -m): -coeff if i % 2 else coeff for (i, m), coeff in e.terms.items()}
+    out = {(i, -m): -coeff if i % 2 else coeff for (i, m), coeff in e._ordered()}
     return WLogElement(out, e.central)
 
 
@@ -310,9 +296,9 @@ def check_jacobi(bound: int, cocycle: str = "none") -> dict:
     for x, y, z in combinations_with_replacement(gens, 3):
         try:
             total = (
-                wlog_bracket(wlog_bracket(x, y, cocycle), _element_of(z), cocycle)
-                + wlog_bracket(wlog_bracket(y, z, cocycle), _element_of(x), cocycle)
-                + wlog_bracket(wlog_bracket(z, x, cocycle), _element_of(y), cocycle)
+                wlog_bracket(wlog_bracket(x, y, cocycle), z, cocycle)
+                + wlog_bracket(wlog_bracket(y, z, cocycle), x, cocycle)
+                + wlog_bracket(wlog_bracket(z, x, cocycle), y, cocycle)
             )
         except DomainError:
             skipped += 1

@@ -189,15 +189,6 @@ def test_null_space_rejects_symbolic():
         ExactMatrix([[sym("h")]]).null_space()
 
 
-def test_stack_rows_checks_shape():
-    a = ExactMatrix([[Fraction(1), Fraction(2)]])
-    b = ExactMatrix([[Fraction(3)]])
-    with pytest.raises(ShapeError):
-        ExactMatrix.stack_rows(a, b)
-    stacked = ExactMatrix.stack_rows(a, a)
-    assert stacked.rows == 2 and stacked.cols == 2
-
-
 @given(rect_matrices())
 @settings(max_examples=30)
 def test_matrix_json_roundtrip(m):

@@ -270,6 +270,14 @@ def test_antiinvolution_is_an_involution():
         assert antiinvolution(antiinvolution(e)) == e
 
 
+def test_antiinvolution_fixes_central():
+    central = WLogElement.central_element(F(-5, 2))
+    e = gen(1, 2, F(3)) + gen(2, -1) + central
+    assert antiinvolution(e) == gen(1, -2, F(-3)) + gen(2, 1) + central
+    assert antiinvolution(WLogElement.central_element(B)).central == B
+    assert antiinvolution(CENTRAL) == WLogElement.central_element()
+
+
 def test_antiinvolution_antiautomorphism_uncentered():
     gens = [(i, m) for i in range(-4, 5) for m in range(-4, 5)]
     for g1 in gens:
@@ -377,7 +385,9 @@ def test_vev_commutator_consistency():
             [y, x, *tail], "residue"
         )
         bracket = wlog_bracket(x, y, "residue")
-        rhs = bracket.central * B * vacuum_expectation(tail, "residue")
+        # the central key CENTRAL is in bracket.terms too, and
+        # vacuum_expectation([CENTRAL, *tail]) is b * vacuum_expectation(tail)
+        rhs = 0
         for g, coeff in bracket.terms.items():
             rhs = rhs + coeff * vacuum_expectation([g, *tail], "residue")
         assert lhs == rhs
@@ -407,6 +417,15 @@ def test_element_json_roundtrip():
         {(0, 1): F(5, 7) * B}
     )
     assert WLogElement.from_json(e.to_json()) == e
+
+
+def test_element_scale_and_negation_reach_central():
+    e = gen(0, 1, F(2)) + WLogElement.central_element(F(3))
+    assert e.scale(F(-1, 3)) == gen(0, 1, F(-2, 3)) + WLogElement.central_element(F(-1))
+    assert e.scale(B).central == 3 * B
+    assert -e == gen(0, 1, F(-2)) + WLogElement.central_element(F(-3))
+    assert (-e).central == -3 and (e - e).central == 0
+    assert (e + -e).is_zero()
 
 
 def test_element_rejects_central_key():
