@@ -9,6 +9,7 @@ decimals are rejected at parse time.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -32,7 +33,7 @@ from .modules import (
     shapovalov_matrix,
     singular_vectors,
 )
-from .rational import parse_rational, render_rational
+from .rational import parse_rational
 from .serialize import serialize
 from .wlog import _COCYCLES, CENTRAL, _cocycle_fn, check_jacobi, vacuum_expectation, wlog_bracket
 
@@ -217,6 +218,7 @@ def _cmd_wlog_jacobi(args):
 # -- parser wiring ----------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="virlog", description=__doc__)
     parser.set_defaults(json=False, out=None, force_json=False, handler=None)

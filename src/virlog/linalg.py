@@ -1,12 +1,13 @@
-"""Exact dense matrices: fraction-free determinants and rational kernels.
+"""Exact dense matrices: one fraction-free elimination for determinants,
+ranks and kernels.
 
-Entries are Coeff = Fraction | MultiPoly.  The determinant uses Bareiss
-one-step fraction-free elimination (Bareiss 1968, "Sylvester's identity and
-multistep integer-preserving Gaussian elimination") on the matrix scaled to
-integer coefficients: every intermediate is a minor of the scaled matrix, so
-each interior division is exact in Z[vars] and no Fraction is built until
-the end.  Kernel computation is plain reduced row echelon over the rationals
-and therefore requires Fraction entries.
+Entries are Coeff = Fraction | MultiPoly.  The matrix is scaled to integer
+coefficients and eliminated without fractions: Bareiss (1968) for the
+determinant, its Gauss-Jordan form (Nakos, Turner and Williams 1997,
+"Fraction-free algorithms for linear and polynomial equations") for the
+reduced row echelon form behind rank and kernel, which need rational
+entries.  Every intermediate is a minor of the scaled matrix, so each
+division is exact in Z or Z[vars] and no Fraction is built until the end.
 """
 
 from __future__ import annotations
@@ -71,54 +72,24 @@ class ExactMatrix:
     def determinant(self) -> Coeff:
         """Bareiss fraction-free determinant over integer coefficients.
 
-        Every entry is aligned to the union of the entries' vars and scaled
-        by D, the lcm of all coefficient denominators, into an {exps: int}
-        term dict; elimination then runs on those dicts and divides exactly
-        in Z[vars].  The result is sign * det / D**n: a Fraction when no
-        entry is a MultiPoly, else a MultiPoly over that union of vars, and
-        Fraction(0) when a pivot column is zero.
+        The result is sign * det / D**n, from the last diagonal entry of the
+        scaled matrix after elimination: a Fraction when no entry is a
+        MultiPoly, else a MultiPoly over the union of the entries' vars, and
+        Fraction(0) when a column before the last has no pivot.
         """
         if self.rows != self.cols:
             raise ShapeError("determinant of a non-square matrix")
         n = self.rows
         if n == 0:
             return Fraction(1)
-        polys = [x for row in self.entries for x in row if isinstance(x, MultiPoly)]
-        vars = reduce(merge_vars, (p.vars for p in polys), ())
-        rows = [
-            [x._aligned(vars) if isinstance(x, MultiPoly) else {(0,) * len(vars): x} if x else {}
-             for x in row]
-            for row in self.entries
-        ]
-        scale = lcm(*(c.denominator for row in rows for terms in row for c in terms.values()))
-        m = [
-            [{e: c.numerator * (scale // c.denominator) for e, c in terms.items()} for terms in row]
-            for row in rows
-        ]
-        sign = 1
-        prev = {(0,) * len(vars): 1}
-        for k in range(n - 1):
-            if not m[k][k]:
-                pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
-                if pivot is None:
-                    return Fraction(0)
-                m[k], m[pivot] = m[pivot], m[k]
-                sign = -sign
-            top = m[k]
-            pivot_terms = top[k]
-            for row in m[k + 1:]:
-                neg_below = {e: -c for e, c in row[k].items()}
-                for j in range(k + 1, n):
-                    num = mul_terms(pivot_terms, row[j])
-                    if neg_below and top[j]:
-                        num = accumulate(mul_terms(neg_below, top[j]).items(), num)
-                    row[j] = divexact_terms(num, prev, exact_int_div)
-            prev = pivot_terms
-        denom = scale**n
-        det = {e: Fraction(sign * c, denom) for e, c in m[n - 1][n - 1].items()}
-        if polys:
-            return MultiPoly(vars, det)
-        return det.get((), Fraction(0))
+        m, scale, vars = _scaled(self.entries)
+        pivots, sign = _eliminate(m, n - 1, False, vars)
+        if len(pivots) < n - 1:
+            return Fraction(0)
+        last, denom = m[n - 1][n - 1], scale**n
+        if vars is None:
+            return Fraction(sign * last, denom)
+        return MultiPoly(vars, {e: Fraction(sign * c, denom) for e, c in last.items()})
 
     def determinant_cofactor(self) -> Coeff:
         """Laplace expansion; exponential, kept as an independent cross-check."""
@@ -146,37 +117,23 @@ class ExactMatrix:
 
     # -- kernel ------------------------------------------------------------
 
-    def _require_rational(self):
-        for row in self.entries:
-            for x in row:
-                if isinstance(x, MultiPoly) and not x.is_constant():
-                    raise DomainError("kernel computation needs rational entries")
-
     def rref(self):
-        """(reduced matrix, pivot column list); rational entries only."""
-        self._require_rational()
-        m = [
-            [Fraction(x.constant_value()) if isinstance(x, MultiPoly) else Fraction(x) for x in row]
+        """(reduced row echelon form, pivot column list); rational entries only.
+
+        Fraction-free Gauss-Jordan on the matrix scaled to integers leaves
+        every pivot equal to the last one, d, so the reduced form is the
+        scaled matrix over d.
+        """
+        polys = [x for row in self.entries for x in row if isinstance(x, MultiPoly)]
+        if not all(p.is_constant() for p in polys):
+            raise DomainError("kernel computation needs rational entries")
+        m, _, vars = _scaled([
+            [x.constant_value() if isinstance(x, MultiPoly) else x for x in row]
             for row in self.entries
-        ]
-        pivots = []
-        r = 0
-        for col in range(self.cols):
-            pivot_row = next((i for i in range(r, self.rows) if m[i][col] != 0), None)
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            inv = Fraction(1) / m[r][col]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][col] != 0:
-                    factor = m[i][col]
-                    m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-            pivots.append(col)
-            r += 1
-            if r == self.rows:
-                break
-        return ExactMatrix(m), pivots
+        ])
+        pivots, _ = _eliminate(m, self.cols, True, vars)
+        d = m[len(pivots) - 1][pivots[-1]] if pivots else 1
+        return ExactMatrix([[Fraction(x, d) for x in row] for row in m]), pivots
 
     def null_space(self):
         """Basis of the right kernel, one vector per free column.
@@ -232,3 +189,77 @@ class ExactMatrix:
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed matrix object: {exc}") from exc
         return m
+
+
+# -- fraction-free elimination ----------------------------------------------
+
+
+def _scaled(entries):
+    """(rows, D, vars): the entries times D, the lcm of all coefficient
+    denominators; ints with vars None when no entry is a MultiPoly, else
+    {exps: int} term dicts over vars, the union of the entries' vars."""
+    polys = [x for row in entries for x in row if isinstance(x, MultiPoly)]
+    if not polys:
+        scale = lcm(*(x.denominator for row in entries for x in row))
+        m = [[x.numerator * (scale // x.denominator) for x in row] for row in entries]
+        return m, scale, None
+    vars = reduce(merge_vars, (p.vars for p in polys), ())
+    rows = [
+        [x._aligned(vars) if isinstance(x, MultiPoly) else {(0,) * len(vars): x} if x else {}
+         for x in row]
+        for row in entries
+    ]
+    scale = lcm(*(c.denominator for row in rows for terms in row for c in terms.values()))
+    m = [
+        [{e: c.numerator * (scale // c.denominator) for e, c in terms.items()} for terms in row]
+        for row in rows
+    ]
+    return m, scale, vars
+
+
+def _int_step(piv, a, row, top, prev, start):
+    for j in range(start, len(row)):
+        row[j] = exact_int_div(piv * row[j] - a * top[j], prev)
+
+
+def _terms_step(piv, a, row, top, prev, start):
+    neg_a = {e: -c for e, c in a.items()}
+    for j in range(start, len(row)):
+        num = mul_terms(piv, row[j])
+        if neg_a and top[j]:
+            num = accumulate(mul_terms(neg_a, top[j]).items(), num)
+        row[j] = divexact_terms(num, prev, exact_int_div)
+
+
+def _eliminate(m, cols, reduced, vars):
+    """Fraction-free elimination, in place, of the scaled rows m over the
+    columns before cols; returns (pivot columns, sign of the row swaps).
+
+    A column's pivot is its first nonzero entry at or below the next pivot
+    row, swapped up; a column without one is skipped.  Each row below the
+    pivot, or with reduced each other row, becomes (piv * row - a * top) /
+    prev, a being its entry in the pivot column and prev the previous pivot;
+    the division is exact.  Reduced rows are updated whole, free columns
+    left of the pivot included, so all pivots end equal to the last one.
+    """
+    if vars is None:
+        step, prev = _int_step, 1
+    else:
+        step, prev = _terms_step, {(0,) * len(vars): 1}
+    sign, r, pivots = 1, 0, []
+    for col in range(cols):
+        p = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            sign = -sign
+        top = m[r]
+        piv = top[col]
+        for row in m if reduced else m[r + 1:]:
+            if row is not top:
+                step(piv, row[col], row, top, prev, 0 if reduced else col + 1)
+        prev = piv
+        pivots.append(col)
+        r += 1
+    return pivots, sign

@@ -239,8 +239,10 @@ def wlog_bracket(a, b, cocycle: str = "none") -> WLogElement:
     if a == CENTRAL or b == CENTRAL:
         return WLogElement()
     (i, m), (j, n) = a, b
-    terms = {(i + j, m + n): Fraction(m - n), (i + j - 1, m + n): Fraction(j - i)}
-    return WLogElement(terms, fn(a, b))
+    terms = {
+        (i + j, m + n): Fraction(m - n), (i + j - 1, m + n): Fraction(j - i), CENTRAL: fn(a, b),
+    }
+    return WLogElement._of({gen: q for gen, q in terms.items() if q})
 
 
 def _element_of(x) -> WLogElement:

@@ -9,7 +9,6 @@ import io
 import json
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -195,6 +194,23 @@ def test_missing_numeric_parameters(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+def test_reused_parser_matches_fresh_runs(capsys, monkeypatch):
+    # main() builds its parser once per process: a usage error must leave
+    # nothing behind that changes the bytes or exit code of a later call
+    monkeypatch.setenv("COLUMNS", "80")
+    bad = ("wlog", "bracket", "0:1", "0:2", "--cocycle", "bogus")
+    good = ("det", "--c", "1", "--h", "0", "--level", "2")
+    fresh = {
+        argv: subprocess.run(
+            [sys.executable, "-m", "virlog", *argv], capture_output=True, text=True
+        )
+        for argv in (bad, good)
+    }
+    for argv in (bad, good, bad):
+        proc = fresh[argv]
+        assert run(capsys, *argv) == (proc.returncode, proc.stdout, proc.stderr)
 
 
 def test_out_file(tmp_path, capsys):

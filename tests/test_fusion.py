@@ -17,11 +17,9 @@ from virlog.fusion import (
     LogSeries,
     descent_factor,
     descent_operator,
-    descent_word,
     determine_b,
     fixture_polynomial,
     fusion_indicial,
-    indicial_data,
     ope_level2_coefficient,
     solve_euler,
 )

@@ -160,19 +160,70 @@ def test_non_square_determinant_raises():
 
 
 def test_null_space_known_kernel():
-    # rows: x + 2y + 3z = 0, 2x + 4y + 6z = 0  ->  2-dim kernel
-    m = ExactMatrix(
-        [
-            [Fraction(1), Fraction(2), Fraction(3)],
-            [Fraction(2), Fraction(4), Fraction(6)],
-        ]
-    )
-    basis = m.null_space()
-    assert len(basis) == 2
-    for vec in basis:
-        assert all(x == 0 for x in m.matvec(vec))
-    # free columns carry the unit entries
-    assert basis[0][1] == 1 and basis[1][2] == 1
+    cases = [
+        # x + 2y + 3z = 0, 2x + 4y + 6z = 0: a 2-dim kernel
+        ([[1, 2, 3], [2, 4, 6]], [[-2, 1, 0], [-3, 0, 1]]),
+        # a free column between two pivots; the later pivot reduces the
+        # row above across the free column too
+        ([[1, 2, 3], [0, 0, 1]], [[-2, 1, 0]]),
+        ([[1, 2, 3], [0, 0, 2]], [[-2, 1, 0]]),
+    ]
+    for rows, want in cases:
+        m = ExactMatrix([[Fraction(x) for x in row] for row in rows])
+        basis = m.null_space()
+        # free columns carry the unit entries
+        assert basis == want
+        for vec in basis:
+            assert all(x == 0 for x in m.matvec(vec))
+
+
+def rref_reference(entries):
+    """Gauss-Jordan over Fraction: an independent reference for the
+    fraction-free rref()."""
+    m = [
+        [Fraction(x.constant_value()) if isinstance(x, MultiPoly) else Fraction(x) for x in row]
+        for row in entries
+    ]
+    rows, cols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for col in range(cols):
+        pivot_row = next((i for i in range(r, rows) if m[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = Fraction(1) / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][col] != 0:
+                factor = m[i][col]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+@st.composite
+def kernel_matrices(draw):
+    """Rectangular rational matrices with zero columns, repeated rows and
+    constant MultiPoly entries."""
+    r, c = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    entry = st.one_of(st.just(Fraction(0)), small_fractions, small_fractions.map(MultiPoly.const))
+    zero_cols = draw(st.sets(st.integers(0, c - 1), max_size=c))
+    rows = [[Fraction(0) if j in zero_cols else draw(entry) for j in range(c)] for _ in range(r)]
+    return rows + [rows[i] for i in draw(st.lists(st.integers(0, r - 1), max_size=3))]
+
+
+@given(kernel_matrices())
+@settings(max_examples=150, deadline=None)
+def test_rref_matches_fraction_gauss_jordan(rows):
+    reduced, pivots = ExactMatrix(rows).rref()
+    want, want_pivots = rref_reference(rows)
+    assert pivots == want_pivots
+    assert reduced.entries == want
+    assert all(type(x) is Fraction for row in reduced.entries for x in row)
 
 
 @given(rect_matrices())

@@ -16,10 +16,10 @@ from virlog.errors import DomainError
 from virlog.fusion import EulerOperator, LogSeries, fusion_indicial
 from virlog.linalg import ExactMatrix
 from virlog.modules import JordanVermaModule, basis_vector, shapovalov_matrix
-from virlog.polynomial import MultiPoly, UniPoly, sym
+from virlog.polynomial import UniPoly, sym
 from virlog.serialize import deserialize, serialize, to_document, to_text
 from virlog.virasoro import UEAElement
-from virlog.wlog import WLogElement, wlog_bracket
+from virlog.wlog import wlog_bracket
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=10**4)
 

@@ -7,7 +7,6 @@ small ranges.
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

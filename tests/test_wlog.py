@@ -49,6 +49,10 @@ def test_bracket_example_all_cocycle_modes():
     assert plain.central == 0
     assert wlog_bracket((-1, 2), (1, -2), "residue").central == F(-1)
     assert wlog_bracket((-1, 2), (1, -2), "closed").central == F(1)
+    # m == n and i == j drop both generator terms, and a zero cocycle value
+    # drops the central one: no zero coefficient is stored
+    assert wlog_bracket((1, 2), (1, 2), "residue").terms == {}
+    assert wlog_bracket((0, 1), (2, 1), "residue").terms == {(1, 2): F(2)}
 
 
 def test_bracket_self_and_antisymmetry():
