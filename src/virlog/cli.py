@@ -37,12 +37,16 @@ from .rational import parse_rational
 from .serialize import serialize
 from .wlog import _COCYCLES, CENTRAL, _cocycle_fn, check_jacobi, vacuum_expectation, wlog_bracket
 
-# Largest accepted size flags.  A level basis holds --jordan times the
+# Largest accepted sizes.  A level basis holds --jordan times the
 # partition count of --level vectors, and the Jacobi scan visits about
-# (2 * bound + 1)^6 / 6 generator triples.
+# (2 * bound + 1)^6 / 6 generator triples.  The residue cocycle's integers
+# grow with the log indices and modes of its generators, and a vacuum
+# expectation's work grows steeply with the length of its word.
 MAX_LEVEL = 8  # the default max_level of fusion_indicial
 MAX_JORDAN = 4
 MAX_JACOBI_LEVEL = 4
+MAX_WLOG_INDEX = 64  # on |i| and |m| of a generator i:m
+MAX_VEV_WORD = 12
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,6 +103,14 @@ def _add_module_flags(sub, symbolic: bool):
 def _check_cap(flag: str, value, cap: int) -> None:
     if value is not None and value > cap:
         raise DomainError(f"{flag} {value} is above the limit {cap}")
+
+
+def _check_generators(gens) -> None:
+    for gen in gens:
+        if gen != CENTRAL:
+            i, m = gen
+            _check_cap("log index |i|", abs(i), MAX_WLOG_INDEX)
+            _check_cap("mode |m|", abs(m), MAX_WLOG_INDEX)
 
 
 def _module_from_args(args) -> JordanVermaModule:
@@ -199,14 +211,18 @@ def _cmd_report(args):
 
 
 def _cmd_wlog_bracket(args):
+    _check_generators((args.left, args.right))
     return wlog_bracket(args.left, args.right, args.cocycle), 0
 
 
 def _cmd_wlog_cocycle(args):
+    _check_generators((args.left, args.right))
     return _cocycle_fn(args.cocycle)(args.left, args.right), 0
 
 
 def _cmd_wlog_vev(args):
+    _check_cap("vev word length", len(args.word), MAX_VEV_WORD)
+    _check_generators(args.word)
     return vacuum_expectation(list(args.word), args.cocycle), 0
 
 

@@ -7,6 +7,7 @@ fixture under the fixture and report verbs.
 
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -293,18 +294,41 @@ def test_report_table_layout():
     ["fusion", "--c", "1", "--h1", "1", "--h2", "1", "--level", str(10**30)],
     ["wlog", "jacobi", "--level", "5"],
     ["wlog", "jacobi", "--level", str(10**30)],
+    ["wlog", "cocycle", "--", "-200000:5", "0:-2"],
+    ["wlog", "cocycle", "0:0", "0:-65", "--cocycle", "closed"],
+    ["wlog", "bracket", "-65:1", "0:0", "--cocycle", "residue"],
+    ["wlog", "bracket", "0:1", "1:65"],
+    ["wlog", "vev", "b", "0:65"],
+    ["wlog", "vev", *["0:-1"] * 13],
+    ["wlog", "vev", *["0:-1"] * 18],
 ])
 def test_oversized_input_exits_one(capsys, monkeypatch, argv):
     # at the cap + 1 and far above it: refused before any computation
     def never(*args, **kwargs):
         raise AssertionError("computation started")
 
-    for name in ("JordanVermaModule", "fusion_indicial", "check_jacobi"):
+    for name in ("JordanVermaModule", "fusion_indicial", "check_jacobi",
+                 "wlog_bracket", "_cocycle_fn", "vacuum_expectation"):
         monkeypatch.setattr(f"virlog.cli.{name}", never)
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert err.startswith("virlog: error: --") and "above the limit" in err
+    assert re.fullmatch(
+        r"virlog: error: (--\w+|log index \|i\||mode \|m\||vev word length) \d+ "
+        r"is above the limit \d+\n",
+        err,
+    )
+
+
+def test_wlog_input_at_the_cap_runs(capsys):
+    code, out, _ = run(capsys, "wlog", "cocycle", "64:64", "-64:-64")
+    assert (code, out) == (0, "65536\n")
+    code, out, _ = run(
+        capsys, "wlog", "bracket", "--cocycle", "residue", "--", "-64:64", "64:-64"
+    )
+    assert (code, out) == (0, "128*t^(-1)(0) + 128*t^(0)(0) - 65536*b\n")
+    code, out, _ = run(capsys, "wlog", "vev", *["0:1"] * 12)
+    assert (code, out) == (0, "0\n")
 
 
 def test_module_runner_smoke():

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from virlog.errors import DomainError
 from virlog.polynomial import sym
@@ -134,6 +136,43 @@ def test_residue_virasoro_normalization():
     f = LaurentField({(3, F(0)): F(1)})
     g = LaurentField({(-1, F(0)): F(1)})
     assert (f.derivative().derivative().derivative() * g).residue() / 12 == F(1, 2)
+
+
+def _residue_by_fields(a, b):
+    # the vector-field route: three derivatives, one product, one residue
+    f = LaurentField.from_generator(a)
+    g = LaurentField.from_generator(b)
+    return (f.derivative().derivative().derivative() * g).residue() / 12
+
+
+def _assert_closed_form_matches_fields(a, b):
+    got = cocycle_residue(a, b)
+    assert type(got) is F
+    assert got == _residue_by_fields(a, b)
+
+
+def test_residue_closed_form_matches_fields_on_grid():
+    gens = [(i, m) for i in range(-4, 5) for m in range(-4, 5)]
+    for a in gens:
+        for b in gens:
+            _assert_closed_form_matches_fields(a, b)
+
+
+_INDEX = st.integers(-10, 10)
+
+
+@given(_INDEX, _INDEX, _INDEX, _INDEX)
+@settings(max_examples=300, deadline=None)
+@example(-1, 2, 0, -2)  # s = 0, the flagship pair
+@example(3, 0, -1, 0)  # s = 0, the vertical pair
+@example(2, 5, -2, -5)  # s = 0, i + j = 0
+@example(-4, 3, -3, -3)  # s = 0, i + j = -7: no t^(-1) term
+@example(2, 1, 1, 4)  # i + j = 3: zero
+@example(7, -3, 2, 3)  # i + j >= 3 with s = 0: zero
+@example(-3, 2, -2, 1)  # both log indices negative
+@example(-10, -10, -10, 9)  # both negative, top = 22
+def test_residue_closed_form_matches_fields_sweep(i, m, j, n):
+    _assert_closed_form_matches_fields((i, m), (j, n))
 
 
 def test_residue_horizontal_vanishes():
