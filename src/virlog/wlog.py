@@ -213,6 +213,7 @@ def cocycle_residue(a, b) -> Fraction:
     s^q/q! with q = -1-p >= 0 when s != 0, and [p == -1] when s = 0.  The
     terms are summed in ints over the common denominator 12 top!, where
     top = 2-i-j is the largest q, and one Fraction is built at the end.
+    The same sum covers s = 0, because there s^q is 0**0 == 1 at q = 0.
 
     LaurentField gives the same value through the vector-field realization,
     as (f.derivative().derivative().derivative() * g).residue() / 12 on
@@ -228,10 +229,6 @@ def cocycle_residue(a, b) -> Fraction:
     u, s = -m, -(m + n)
     # the term with k derivatives on t^i sits at r = 3 - k and has q = top - r
     coeffs = (i * (i - 1) * (i - 2), 3 * i * (i - 1) * u, 3 * i * u * u, u * u * u)
-    if s == 0:
-        # only p = -1, that is q = 0 and r = top, has a residue; the loop
-        # below gets the same through 0**0 == 1, but slower
-        return Fraction(coeffs[top], 12) if top <= 3 else Fraction(0)
     num, falling = 0, 1  # falling = top!/q!
     for r in range(min(3, top) + 1):
         num += coeffs[r] * falling * s ** (top - r)
