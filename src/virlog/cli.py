@@ -28,6 +28,7 @@ from .fusion import (
 from .modules import (
     JordanVermaModule,
     check_hom_pair,
+    partitions,
     radical_dimension,
     shapovalov_determinant,
     shapovalov_matrix,
@@ -41,9 +42,12 @@ from .wlog import _COCYCLES, CENTRAL, _cocycle_fn, check_jacobi, vacuum_expectat
 # partition count of --level vectors, and the Jacobi scan visits about
 # (2 * bound + 1)^6 / 6 generator triples.  The residue cocycle's integers
 # grow with the log indices and modes of its generators, and a vacuum
-# expectation's work grows steeply with the length of its word.
+# expectation's work grows steeply with the length of its word.  A
+# symbolic determinant's time grows steeply with its row count: at 15
+# rows level 7 takes about 8 s, 22 rows (level 6, jordan 2) about 65 s.
 MAX_LEVEL = 8  # the default max_level of fusion_indicial
 MAX_JORDAN = 4
+MAX_SYMBOLIC_DET_ROWS = 15  # on --jordan times the partition count of --level
 MAX_JACOBI_LEVEL = 4
 MAX_WLOG_INDEX = 64  # on |i| and |m| of a generator i:m
 MAX_VEV_WORD = 12
@@ -113,12 +117,15 @@ def _check_generators(gens) -> None:
             _check_cap("mode |m|", abs(m), MAX_WLOG_INDEX)
 
 
-def _module_from_args(args) -> JordanVermaModule:
+def _module_from_args(args, max_symbolic_rows=None) -> JordanVermaModule:
     _check_cap("--level", args.level, MAX_LEVEL)
     _check_cap("--jordan", args.jordan, MAX_JORDAN)
     if getattr(args, "symbolic", False):
         if args.c is not None or args.h is not None:
             raise DomainError("--symbolic excludes numeric --c/--h")
+        if max_symbolic_rows is not None:
+            rows = args.jordan * len(partitions(args.level))
+            _check_cap("symbolic rows", rows, max_symbolic_rows)
         return JordanVermaModule("c", "h", args.jordan)
     if args.c is None or args.h is None:
         raise DomainError("need both --c and --h, or --symbolic")
@@ -133,7 +140,8 @@ def _cmd_shapovalov(args):
 
 
 def _cmd_det(args):
-    return shapovalov_determinant(_module_from_args(args), args.level), 0
+    mod = _module_from_args(args, MAX_SYMBOLIC_DET_ROWS)
+    return shapovalov_determinant(mod, args.level), 0
 
 
 def _cmd_singular(args):

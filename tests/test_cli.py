@@ -301,6 +301,9 @@ def test_report_table_layout():
     ["wlog", "vev", "b", "0:65"],
     ["wlog", "vev", *["0:-1"] * 13],
     ["wlog", "vev", *["0:-1"] * 18],
+    ["det", "--level", "4", "--jordan", "4", "--symbolic"],
+    ["det", "--level", "6", "--jordan", "2", "--symbolic"],
+    ["det", "--level", "8", "--jordan", "4", "--symbolic"],
 ])
 def test_oversized_input_exits_one(capsys, monkeypatch, argv):
     # at the cap + 1 and far above it: refused before any computation
@@ -314,7 +317,7 @@ def test_oversized_input_exits_one(capsys, monkeypatch, argv):
     assert code == 1
     assert out == ""
     assert re.fullmatch(
-        r"virlog: error: (--\w+|log index \|i\||mode \|m\||vev word length) \d+ "
+        r"virlog: error: (--\w+|log index \|i\||mode \|m\||vev word length|symbolic rows) \d+ "
         r"is above the limit \d+\n",
         err,
     )
@@ -329,6 +332,14 @@ def test_wlog_input_at_the_cap_runs(capsys):
     assert (code, out) == (0, "128*t^(-1)(0) + 128*t^(0)(0) - 65536*b\n")
     code, out, _ = run(capsys, "wlog", "vev", *["0:1"] * 12)
     assert (code, out) == (0, "0\n")
+
+
+def test_symbolic_det_at_the_cap_runs(capsys):
+    # 3 * p(4) = 15 rows, the largest symbolic det accepted
+    code, out, _ = run(capsys, "det", "--level", "4", "--jordan", "3", "--symbolic", "--json")
+    assert code == 0
+    plain = shapovalov_determinant(JordanVermaModule("c", "h"), 4)
+    assert deserialize(out, "multipoly") == plain**3
 
 
 def test_module_runner_smoke():

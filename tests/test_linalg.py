@@ -1,7 +1,9 @@
 """Matrix layer tests.
 
-The Bareiss determinant is cross-checked against independent cofactor
-expansion on random small matrices; kernels are verified by multiplying back.
+The determinant is cross-checked against independent cofactor expansion
+and, over Q[vars], against sparse Bareiss elimination on term dicts
+(tests/sparse_bareiss.py) on random small matrices; kernels are verified
+by multiplying back.
 """
 
 from fractions import Fraction
@@ -13,6 +15,8 @@ from hypothesis import strategies as st
 from virlog.errors import DomainError, ShapeError
 from virlog.linalg import ExactMatrix
 from virlog.polynomial import MultiPoly, coeff_to_json, sym
+
+from sparse_bareiss import sparse_bareiss
 
 fractions_s = st.fractions(min_value=-8, max_value=8, max_denominator=4)
 
@@ -85,6 +89,89 @@ def test_symbolic_bareiss_matches_cofactor(rows):
         assert all(type(q) is Fraction for q in det.terms.values())
     elif any(isinstance(x, MultiPoly) for row in rows for x in row):
         assert det == 0  # a zero pivot column ends elimination early
+
+
+wide_coeffs = st.one_of(
+    small_fractions,
+    st.integers(-2**70, 2**70).map(Fraction),
+    st.builds(Fraction, st.integers(-2**66, 2**66), st.integers(1, 2**65)),
+)
+
+
+@st.composite
+def packed_route_matrices(draw):
+    """Square matrices of 1-5 rows over 0-3 of the vars (c, h, t): Fraction
+    and MultiPoly entries with negative, Fraction and >= 2^64 coefficients,
+    constant MultiPolys among them, with zero rows, zero columns and
+    repeated rows."""
+    n = draw(st.integers(1, 5))
+    vars = draw(st.sampled_from([(), ("c",), ("h",), ("c", "h"), ("c", "h", "t")]))
+    terms = st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * len(vars)), wide_coeffs, max_size=3)
+    entry = st.one_of(
+        st.just(Fraction(0)), wide_coeffs, terms.map(lambda t: MultiPoly(vars, t)))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=1)):
+        rows[i] = [Fraction(0)] * n
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=1)):
+        for row in rows:
+            row[j] = Fraction(0)
+    for i, k in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=1)):
+        rows[i] = list(rows[k])
+    return rows
+
+
+def assert_same_determinant(rows):
+    det, ref = ExactMatrix(rows).determinant(), sparse_bareiss(rows)
+    assert type(det) is type(ref)
+    if isinstance(det, MultiPoly):
+        assert det.vars == ref.vars
+        assert det.terms == ref.terms
+        assert all(type(q) is Fraction for q in det.terms.values())
+    else:
+        assert det == ref
+    assert det == ExactMatrix(rows).determinant_cofactor()
+
+
+@given(packed_route_matrices())
+@settings(max_examples=150, deadline=None)
+def test_determinant_matches_sparse_bareiss_and_cofactor(rows):
+    assert_same_determinant(rows)
+
+
+def test_packed_coefficient_at_the_digit_limit():
+    # Row norms 3 and 5 give P = 15 = 2^4 - 1, so the digits are B = 5 bits
+    # wide and -15 h^2 sits at -(2^(B-1) - 1), the most negative balanced
+    # digit; its packed determinant is -15 * 2^10.
+    c, h = sym("c"), sym("h")
+    rows = [[3 * h, Fraction(0)], [Fraction(0), -5 * h]]
+    assert ExactMatrix(rows).determinant() == -15 * h * h
+    assert_same_determinant(rows)
+    # One grid var: at the far corner c = 1 the row norm is P = 2^61 - 1,
+    # B = 62, and the h coefficient there is 2^(B-1) - 1, the largest digit.
+    big = 2**61 - 1
+    for rows in ([[big * c * h]], [[big * c * h, Fraction(0)], [Fraction(0), Fraction(1)]],
+                 [[-big * h]], [[h, Fraction(0)], [Fraction(0), -big * c]]):
+        assert_same_determinant(rows)
+    assert ExactMatrix([[big * c * h]]).determinant() == big * c * h
+
+
+def test_structurally_zero_column_against_zero_determinant():
+    c, h = sym("c"), sym("h")
+    zero = Fraction(0)
+    # a column before the last with no pivot at any point: Fraction(0)
+    for rows in ([[zero, c], [zero, h]],
+                 [[c, zero, h], [h, zero, c], [c + h, zero, Fraction(1)]]):
+        det = ExactMatrix(rows).determinant()
+        assert type(det) is Fraction and det == 0
+        assert_same_determinant(rows)
+    # a zero last column, or dependent rows, give the zero MultiPoly
+    for rows in ([[c, zero], [h, zero]], [[c, h], [2 * c, 2 * h]],
+                 [[c, h, c * h], [h, c, h * h], [c + h, c + h, c * h + h * h]]):
+        det = ExactMatrix(rows).determinant()
+        assert type(det) is MultiPoly and det.is_zero() and det.vars == ("c", "h")
+        assert_same_determinant(rows)
 
 
 c_, h_, t_ = sym("c"), sym("h"), sym("t")

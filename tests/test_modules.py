@@ -35,6 +35,8 @@ from virlog.modules import (
 from virlog.polynomial import MultiPoly, sym
 from virlog.virasoro import UEAElement
 
+from sparse_bareiss import sparse_bareiss
+
 C = sym("c")
 H = sym("h")
 
@@ -321,6 +323,14 @@ def test_gram_rejects_mixed_parameters():
 def test_bareiss_and_cofactor_agree_on_gram():
     m = shapovalov_matrix(JordanVermaModule("c", "h", 2), 2)
     assert m.determinant() == m.determinant_cofactor()
+
+
+@pytest.mark.parametrize(
+    "rank,level", [(1, lv) for lv in range(1, 6)] + [(2, lv) for lv in range(1, 5)])
+def test_gram_determinant_matches_sparse_bareiss(rank, level):
+    m = shapovalov_matrix(JordanVermaModule("c", "h", rank), level)
+    det, ref = m.determinant(), sparse_bareiss(m.entries)
+    assert (det.vars, det.terms) == (ref.vars, ref.terms)
 
 
 # -- singular vectors and radicals ------------------------------------------

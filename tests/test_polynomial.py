@@ -17,7 +17,6 @@ from virlog.polynomial import (
     UniPoly,
     accumulate,
     divexact_terms,
-    exact_int_div,
     poly_gcd,
     rational_roots,
     sym,
@@ -129,16 +128,20 @@ def test_divexact_rejects_low_degree_remainder(data):
         (a * b + low).divexact(b)
 
 
-def test_divexact_terms_on_integers():
-    # 6c^2 + 4c = 2c * (3c + 2), quotient stays int
-    quot = divexact_terms({(2,): 6, (1,): 4}, {(1,): 2}, exact_int_div)
+def test_divexact_terms_on_fractions():
+    F = Fraction
+    # 6c^2 + 4c = 2c * (3c + 2), quotient stays Fraction
+    quot = divexact_terms({(2,): F(6), (1,): F(4)}, {(1,): F(2)})
     assert quot == {(1,): 3, (0,): 2}
-    assert all(type(q) is int for q in quot.values())
-    # (3c + 3) / (2c + 2) = 3/2 is not integral
+    assert all(type(q) is Fraction for q in quot.values())
+    # (3c + 3) / (2c + 2) and 3c / 2c are 3/2 over Q
+    assert divexact_terms({(1,): F(3), (0,): F(3)}, {(1,): F(2), (0,): F(2)}) == {(0,): F(3, 2)}
+    assert divexact_terms({(1,): F(3)}, {(1,): F(2)}) == {(0,): F(3, 2)}
+    # c / (c + 1) and 3 / 2c leave a remainder
     with pytest.raises(DomainError):
-        divexact_terms({(1,): 3, (0,): 3}, {(1,): 2, (0,): 2}, exact_int_div)
+        divexact_terms({(1,): F(1)}, {(1,): F(1), (0,): F(1)})
     with pytest.raises(DomainError):
-        divexact_terms({(1,): 3}, {(1,): 2}, exact_int_div)
+        divexact_terms({(0,): F(3)}, {(1,): F(2)})
 
 
 @given(st.data())
