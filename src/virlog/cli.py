@@ -42,15 +42,17 @@ from .wlog import _COCYCLES, CENTRAL, _cocycle_fn, check_jacobi, vacuum_expectat
 # partition count of --level vectors, and the Jacobi scan visits about
 # (2 * bound + 1)^6 / 6 generator triples.  The residue cocycle's integers
 # grow with the log indices and modes of its generators, and a vacuum
-# expectation's work grows steeply with the length of its word.  A
-# symbolic determinant's time grows steeply with its row count: at 15
-# rows level 7 takes about 8 s, 22 rows (level 6, jordan 2) about 65 s.
+# expectation's work grows about fivefold per factor of its word: the
+# slowest words found by a local search take 0.5 s at 7 factors, 2 s at 8
+# and 10 s at 9 (shared 2-core x86-64 host, Python 3.11).  A symbolic
+# determinant's time grows steeply with its row count: at 15 rows level 7
+# takes about 8 s, 22 rows (level 6, jordan 2) about 65 s.
 MAX_LEVEL = 8  # the default max_level of fusion_indicial
 MAX_JORDAN = 4
 MAX_SYMBOLIC_DET_ROWS = 15  # on --jordan times the partition count of --level
 MAX_JACOBI_LEVEL = 4
 MAX_WLOG_INDEX = 64  # on |i| and |m| of a generator i:m
-MAX_VEV_WORD = 12
+MAX_VEV_WORD = 8
 
 
 class _Parser(argparse.ArgumentParser):

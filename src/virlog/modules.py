@@ -20,8 +20,15 @@ is what makes the jordan-size-2 level-3 Gram matrix come out block
 upper-triangular with the L(-1)^3 norm 24h(h+1)(1+2h) in the corner.
 
 The mode action is computed by a straightening recursion on the label, not
-through the enveloping algebra; the two routes agree (tested) and this one
-memoizes per (module, mode, label).
+through the enveloping algebra; the two routes agree (tested).  It runs
+once, on the generic module M(c, h), and memoizes per (mode, label): every
+coefficient there is affine in (c, h).  M_n(c, h) is M(c, h) with h read
+as h + N, N the nilpotent part of L(0) on the top level, so a module only
+evaluates these structure constants.  For a matrix between levels that
+gives the Taylor-block rule: block (i, j) of the top indices holds
+(d/dh)^k P / k!, k = j - i, of each entry P over Q[c, h], and 0 for j < i.
+The Gram matrices and the L(1), L(2) matrices over Q[c, h] are built once
+per level.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, lcm
 from typing import Union
 
 from .errors import DomainError, ParseError, ShapeError, SymbolError
@@ -142,6 +150,9 @@ def level_basis(mod: JordanVermaModule, level: int) -> list:
 
 # -- mode action ------------------------------------------------------------
 
+# Exponents (of c, of h) of the monomials 1, c and h.
+_ONE, _C, _H = (0, 0), (1, 0), (0, 1)
+
 # L(-p)·B(mu) expanded over basis words; pure structure constants, so the
 # cache is global and the values are integers.
 _PREPEND_MEMO: dict = {}
@@ -166,41 +177,43 @@ def _prepend(p: int, mu: tuple) -> dict:
     return result
 
 
+# L(k)·B(lam)v on the generic module M(c, h), keyed by (k, lam) alone, so
+# it holds one entry per mode and label in use whatever the number of
+# modules.  Values are {(mu, exps): q}: the coefficient of B(mu)v is the
+# sum of q c^a h^b over its exps (a, b), one of _ONE, _C and _H, since a
+# single mode reaches the top level at most once.
 _ACTION_MEMO: dict = {}
 
 
-def _apply_single(mod: JordanVermaModule, k: int, lam: tuple, top: int) -> dict:
-    """L(k) on the basis vector (lam, top): {(mu, j): Coeff}."""
-    key = (mod, k, lam, top)
+def _apply_single(k: int, lam: tuple) -> dict:
+    """L(k) on B(lam)v in M(c, h): {(mu, exps): Fraction}."""
+    key = (k, lam)
     cached = _ACTION_MEMO.get(key)
     if cached is not None:
         return cached
     pairs = []
     if lam == ():
         if k == 0:
-            pairs.append((((), top), mod.h_value()))
-            if top > 1:
-                pairs.append((((), top - 1), Fraction(1)))
+            pairs.append((((), _H), Fraction(1)))
         elif k < 0:
-            pairs.append((((-k,), top), Fraction(1)))
+            pairs.append((((-k,), _ONE), Fraction(1)))
         # k > 0 annihilates the top level
     else:
         s, rho = lam[-1], lam[:-1]
         # L(k) L(-s) = L(-s) L(k) + (k+s) L(k-s) + delta_{k,s} (k^3-k)/12 C
         pairs.extend(
-            ((nu, j), q * w)
-            for (mu, j), q in _apply_single(mod, k, rho, top).items()
+            ((nu, e), q * w)
+            for (mu, e), q in _apply_single(k, rho).items()
             for nu, w in _prepend(s, mu).items()
         )
         if k + s != 0:
             pairs.extend(
-                ((mu, j), (k + s) * q)
-                for (mu, j), q in _apply_single(mod, k - s, rho, top).items()
+                ((mu, e), (k + s) * q) for (mu, e), q in _apply_single(k - s, rho).items()
             )
         if k == s:
             central = Fraction(k**3 - k, 12)
             if central != 0:
-                pairs.append(((rho, top), central * mod.c_value()))
+                pairs.append(((rho, _C), central))
     out = accumulate(pairs)
     _ACTION_MEMO[key] = out
     return out
@@ -278,12 +291,20 @@ class ModuleVector:
         new_level = self.level - k
         if new_level < 0:
             return ModuleVector(self.module, 0, {})
-        out = accumulate(
-            (label, coeff * q)
-            for (lam, top), coeff in self.terms.items()
-            for label, q in _apply_single(self.module, k, lam, top).items()
-        )
-        return ModuleVector(self.module, new_level, out)
+        # h acts on the top level as h + N, N lowering the top index, and the
+        # coefficients are affine in h, so N leaves the h term's q on top - 1
+        c, h = self.module.c_value(), self.module.h_value()
+        pairs = []
+        for (lam, top), coeff in self.terms.items():
+            for (mu, e), q in _apply_single(k, lam).items():
+                q = coeff * q
+                if e == _H:
+                    pairs.append(((mu, top), q * h))
+                    if top > 1:
+                        pairs.append(((mu, top - 1), q))
+                else:
+                    pairs.append(((mu, top), q * c if e == _C else q))
+        return ModuleVector(self.module, new_level, accumulate(pairs))
 
     def apply_word(self, modes) -> "ModuleVector":
         """Apply a sequence of modes, first element acting first."""
@@ -371,6 +392,118 @@ def apply_mode(mod: JordanVermaModule, k: int, vec: ModuleVector) -> ModuleVecto
     return vec.apply_mode(k)
 
 
+# -- matrices over Q[c, h] --------------------------------------------------
+
+# A matrix over Q[c, h] is kept as a table of ints (_table) and evaluated
+# on a module by the Taylor-block rule of the module docstring, the term
+# q c^a h^b of an entry giving q C(b, k) c^a h^(b-k) in block k.
+
+
+def _table(rows) -> tuple:
+    """(den, A, B, rows) for a matrix of {(a, b): Fraction} term dicts: den
+    the lcm of the denominators, A and B the largest exponents of c and of
+    h, and each entry a tuple of (q * den, a, b)."""
+    terms = [(e, q) for row in rows for entry in row for e, q in entry.items()]
+    den = lcm(*(q.denominator for _, q in terms))
+    amax = max((a for (a, _), _ in terms), default=0)
+    bmax = max((b for (_, b), _ in terms), default=0)
+    ints = [
+        [tuple((q.numerator * (den // q.denominator), a, b) for (a, b), q in entry.items())
+         for entry in row]
+        for row in rows
+    ]
+    return den, amax, bmax, ints
+
+
+def _poly(terms: dict) -> Coeff:
+    """{(a, b): Fraction} as a sum of q c^a h^b: a Fraction when constant,
+    else a MultiPoly over the symbols it uses."""
+    if not terms:
+        return Fraction(0)
+    used = [i for i in (0, 1) if any(e[i] for e in terms)]
+    if not used:
+        return terms[_ONE]
+    return MultiPoly(
+        tuple("ch"[i] for i in used), {tuple(e[i] for i in used): q for e, q in terms.items()}
+    )
+
+
+def _on_module(table, mod: JordanVermaModule) -> list:
+    """Rows of the matrix the table gives on mod, numeric or fully symbolic.
+
+    A numeric entry is summed in ints over the common denominator
+    den * cd^A * hd^B, c = cn/cd and h = hn/hd, and made one Fraction.
+    """
+    den, amax, bmax, rows = table
+    if mod.symbolic:
+        def value(entry, k):
+            return _poly({(a, b - k): Fraction(num * comb(b, k), den)
+                          for num, a, b in entry if b >= k})
+    else:
+        cn, cd = mod.c.numerator, mod.c.denominator
+        hn, hd = mod.h.numerator, mod.h.denominator
+        cpow = [cn**a * cd ** (amax - a) for a in range(amax + 1)]
+        hpow = [hn**b * hd ** (bmax - b) for b in range(bmax + 1)]
+        scale = den * cd**amax * hd**bmax
+
+        def value(entry, k):
+            return Fraction(sum(num * comb(b, k) * cpow[a] * hpow[b - k]
+                                for num, a, b in entry if b >= k), scale)
+
+    n = mod.jordan
+    blocks = [[[value(entry, k) for entry in row] for row in rows] for k in range(n)]
+    zero = [Fraction(0)] * len(rows[0])
+    return [
+        zero * i + [x for k in range(n - i) for x in blocks[k][r]]
+        for i in range(n)
+        for r in range(len(rows))
+    ]
+
+
+@lru_cache(maxsize=None)
+def _generic_gram(level: int) -> dict:
+    """{(lam, mu): {(a, b): Fraction}}, the Gram entries of M(c, h).
+
+    The word of lam applies its smallest part k first, then the word of
+    rest, lam without that part; so the (lam, mu) entry sums the
+    (rest, nu) entries at level - k against L(k) B(mu)v.
+    """
+    parts = partitions(level)
+    if level == 0:
+        return {((), ()): {_ONE: Fraction(1)}}
+    out = {}
+    for lam in parts:
+        k, rest = lam[-1], lam[:-1]
+        lower = _generic_gram(level - k)
+        for mu in parts:
+            out[lam, mu] = accumulate(
+                ((e[0] + e2[0], e[1] + e2[1]), q * q2)
+                for (nu, e), q in _apply_single(k, mu).items()
+                for e2, q2 in lower[rest, nu].items()
+            )
+    return out
+
+
+@lru_cache(maxsize=None)
+def _gram_table(level: int) -> tuple:
+    parts = sorted(partitions(level))
+    gram = _generic_gram(level)
+    return _table([[gram[lam, mu] for mu in parts] for lam in parts])
+
+
+@lru_cache(maxsize=None)
+def _lowering_table(level: int, gen: int) -> tuple:
+    """L(gen) from the level to level - gen of M(c, h), one row per
+    partition of level - gen."""
+    index = {mu: r for r, mu in enumerate(sorted(partitions(level - gen)))}
+    parts = sorted(partitions(level))
+    rows = [[{} for _ in parts] for _ in index]
+    for col, lam in enumerate(parts):
+        for (mu, e), q in _apply_single(gen, lam).items():
+            rows[index[mu]][col][e] = q
+    return _table(rows)
+
+
 # -- Shapovalov form --------------------------------------------------------
 
 
@@ -378,19 +511,7 @@ def shapovalov_matrix(mod: JordanVermaModule, level: int) -> ExactMatrix:
     """Gram matrix of (a, b) = coefficient of the paired top vector in
     (transpose word of a) applied to b, on the level basis order."""
     mod.require_unmixed()
-    parts = sorted(partitions(level))
-    basis = level_basis(mod, level)
-    p = len(parts)
-    n = mod.jordan
-    size = n * p
-    entries = [[Fraction(0)] * size for _ in range(size)]
-    for li, lam in enumerate(parts):
-        word = sorted(lam)  # ascending parts act first
-        for col, b in enumerate(basis):
-            dropped = basis_vector(mod, b[0], b[1]).apply_word(word)
-            for i in range(1, n + 1):
-                entries[(i - 1) * p + li][col] = dropped.coeff(((), i))
-    return ExactMatrix(entries)
+    return ExactMatrix(_on_module(_gram_table(level), mod))
 
 
 def shapovalov_determinant(mod: JordanVermaModule, level: int) -> Coeff:
@@ -414,19 +535,14 @@ def singular_vectors(mod: JordanVermaModule, level: int) -> list:
     if level < 1:
         raise DomainError("singular vectors live at positive levels")
     basis = level_basis(mod, level)
-    rows = []
-    for gen in (1, 2):
-        if level - gen < 0:
-            continue
-        target = level_basis(mod, level - gen)
-        images = [
-            basis_vector(mod, lam, top).apply_mode(gen) for lam, top in basis
-        ]
-        for t in target:
-            rows.append([img.terms.get(t, Fraction(0)) for img in images])
-    kernel = ExactMatrix(rows).null_space() if rows else []
+    rows = [
+        row
+        for gen in (1, 2)
+        if gen <= level
+        for row in _on_module(_lowering_table(level, gen), mod)
+    ]
     out = []
-    for vec in kernel:
+    for vec in ExactMatrix(rows).null_space():
         terms = {
             label: coeff
             for label, coeff in zip(basis, vec)

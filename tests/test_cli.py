@@ -299,11 +299,13 @@ def test_report_table_layout():
     ["wlog", "bracket", "-65:1", "0:0", "--cocycle", "residue"],
     ["wlog", "bracket", "0:1", "1:65"],
     ["wlog", "vev", "b", "0:65"],
-    ["wlog", "vev", *["0:-1"] * 13],
+    ["wlog", "vev", *["0:-1"] * 9],
     ["wlog", "vev", *["0:-1"] * 18],
     ["det", "--level", "4", "--jordan", "4", "--symbolic"],
     ["det", "--level", "6", "--jordan", "2", "--symbolic"],
     ["det", "--level", "8", "--jordan", "4", "--symbolic"],
+    # the slowest 9-factor word a local search found, about 10 s if run
+    ["wlog", "vev", "--", *"-2:64 -63:40 -40:2 -40:7 64:-1 -1:-3 1:-40 -1:-63 -2:-64".split()],
 ])
 def test_oversized_input_exits_one(capsys, monkeypatch, argv):
     # at the cap + 1 and far above it: refused before any computation
@@ -330,7 +332,7 @@ def test_wlog_input_at_the_cap_runs(capsys):
         capsys, "wlog", "bracket", "--cocycle", "residue", "--", "-64:64", "64:-64"
     )
     assert (code, out) == (0, "128*t^(-1)(0) + 128*t^(0)(0) - 65536*b\n")
-    code, out, _ = run(capsys, "wlog", "vev", *["0:1"] * 12)
+    code, out, _ = run(capsys, "wlog", "vev", *["0:1"] * 8)
     assert (code, out) == (0, "0\n")
 
 

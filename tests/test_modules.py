@@ -3,8 +3,10 @@
 Two independent oracles pin the mode action: the defining commutation
 relations checked directly on random vectors, and a re-derivation of the
 action through the enveloping algebra (straighten, act on the top level,
-change basis by solving a linear system).  Gram matrices and determinants
-are frozen against published closed forms.
+change basis by solving a linear system).  The per-module straightening of
+straightening_oracle pins the structure-constant route entry by entry,
+types and polynomial vars included.  Gram matrices and determinants are
+frozen against published closed forms.
 """
 
 import math
@@ -15,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import straightening_oracle as oracle
+from virlog import modules
 from virlog.errors import DomainError, ShapeError, SymbolError
 from virlog.linalg import ExactMatrix
 from virlog.modules import (
@@ -225,6 +229,100 @@ def test_mode_action_matches_enveloping_route():
 
 
 # -- Gram matrices ----------------------------------------------------------
+
+
+def _typed(x):
+    """A Coeff with its type, and a MultiPoly with its vars."""
+    return (type(x), x.vars, x.terms) if isinstance(x, MultiPoly) else (type(x), x)
+
+
+def _typed_rows(m):
+    return [[_typed(x) for x in row] for row in m.entries]
+
+
+def _typed_vector(vec):
+    return vec.module, vec.level, {label: _typed(q) for label, q in vec.terms.items()}
+
+
+def _kac(t, r, s):
+    """(c, h_{r,s}) on the Kac table with c = 13 - 6(t + 1/t)."""
+    c = 13 - 6 * (t + 1 / t)
+    h = Fraction(r * r - 1, 4) * t - Fraction(r * s - 1, 2) + Fraction(s * s - 1, 4) / t
+    return c, h
+
+
+huge = st.integers(2**64, 2**70)
+numeric_params = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(-1, 2)]),
+    st.fractions(min_value=-8, max_value=8, max_denominator=6),
+    st.builds(Fraction, huge.map(lambda n: -n) | huge, huge),
+    st.builds(Fraction, huge.map(lambda n: -n) | huge, st.integers(1, 9)),
+)
+kac_points = st.builds(
+    _kac,
+    st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3), Fraction(2, 3)]),
+    st.integers(1, 4),
+    st.integers(1, 4),
+)
+
+
+@given(
+    st.one_of(st.tuples(numeric_params, numeric_params), kac_points),
+    st.integers(1, 4),
+    st.integers(0, 6),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_numeric_module_matches_straightening(ch, jordan, level, data):
+    mod = JordanVermaModule(*ch, jordan)
+    assert _typed_rows(shapovalov_matrix(mod, level)) == _typed_rows(oracle.gram(mod, level))
+    if level:
+        got = [_typed_vector(v) for v in singular_vectors(mod, level)]
+        assert got == [_typed_vector(v) for v in oracle.singular_vectors(mod, level)]
+    labels = level_basis(mod, level)
+    coeffs = data.draw(st.lists(numeric_params, min_size=len(labels), max_size=len(labels)))
+    vec = ModuleVector(mod, level, dict(zip(labels, coeffs)))
+    k = data.draw(st.integers(-3, level + 1))
+    assert _typed_vector(vec.apply_mode(k)) == _typed_vector(oracle.apply_mode(vec, k))
+
+
+@pytest.mark.parametrize(
+    "rank,level", [(rank, level) for rank in (1, 2, 3) for level in range(1, 6)])
+def test_symbolic_gram_matches_straightening(rank, level):
+    mod = JordanVermaModule("c", "h", rank)
+    assert _typed_rows(shapovalov_matrix(mod, level)) == _typed_rows(oracle.gram(mod, level))
+
+
+@pytest.mark.parametrize("c,h", [
+    ("c", Fraction(-3, 7)), ("c", Fraction(0)), (Fraction(5, 2), "h"), ("c", "h")])
+def test_apply_mode_on_symbolic_modules_matches_straightening(c, h):
+    mod = JordanVermaModule(c, h, 3)
+    for level in range(5):
+        for label in level_basis(mod, level):
+            for coeff in (Fraction(-2, 3), sym("h") + 1):
+                vec = ModuleVector(mod, level, {label: coeff})
+                for k in range(-3, level + 2):
+                    want = oracle.apply_mode(vec, k)
+                    assert _typed_vector(vec.apply_mode(k)) == _typed_vector(want)
+
+
+def test_action_memo_is_bounded_by_level():
+    # the structure constants do not depend on the module: fresh modules
+    # at a level already seen add no entries
+    rng = random.Random(20261018)
+    sizes = []
+    for _ in range(50):
+        c = Fraction(rng.randint(-99, 99), rng.randint(1, 9))
+        h = Fraction(rng.randint(-99, 99), rng.randint(1, 9))
+        mod = JordanVermaModule(c, h, 2)
+        shapovalov_matrix(mod, 5)
+        singular_vectors(mod, 5)
+        for lam in partitions(5):
+            for k in (-2, 0, 1, 2, 3):
+                basis_vector(mod, lam, 2).apply_mode(k)
+        sizes.append(len(modules._ACTION_MEMO))
+    assert sizes == [sizes[0]] * 50
+
 
 
 def test_gram_level1_ordinary():
