@@ -46,13 +46,20 @@ from .wlog import _COCYCLES, CENTRAL, _cocycle_fn, check_jacobi, vacuum_expectat
 # slowest words found by a local search take 0.5 s at 7 factors, 2 s at 8
 # and 10 s at 9 (shared 2-core x86-64 host, Python 3.11).  A symbolic
 # determinant's time grows steeply with its row count: at 15 rows level 7
-# takes about 8 s, 22 rows (level 6, jordan 2) about 65 s.
+# takes about 8 s, 22 rows (level 6, jordan 2) about 65 s.  An euler-solve
+# operator's largest derivative order is the degree of its indicial
+# polynomial: the slowest root finding found, 32 or 64 close rational roots
+# with 7-digit denominators, takes 0.6 s at degree 32 and 7 s at 64.  The
+# solve's work grows with the square of the rhs log power: 0.25 s at 64
+# and 0.7 s at 128 on a degree-32 operator.
 MAX_LEVEL = 8  # the default max_level of fusion_indicial
 MAX_JORDAN = 4
 MAX_SYMBOLIC_DET_ROWS = 15  # on --jordan times the partition count of --level
 MAX_JACOBI_LEVEL = 4
 MAX_WLOG_INDEX = 64  # on |i| and |m| of a generator i:m
 MAX_VEV_WORD = 8
+MAX_EULER_ORDER = 32  # on the largest dorder of an euler-solve operator
+MAX_LOG_POWER = 64  # on the largest logpower of an euler-solve rhs
 
 
 class _Parser(argparse.ArgumentParser):
@@ -189,6 +196,8 @@ def _cmd_euler_solve(args):
         rhs = LogSeries.from_json(doc["rhs"])
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise DomainError(f"malformed euler-solve input: {exc}")
+    _check_cap("dorder", max((j for _k, j in op.terms), default=0), MAX_EULER_ORDER)
+    _check_cap("logpower", max((p for _r, p in rhs.terms), default=0), MAX_LOG_POWER)
     particular, homogeneous = solve_euler(op, rhs)
     return {"particular": particular, "homogeneous": homogeneous}, 0
 

@@ -358,8 +358,9 @@ def solve_euler(op: EulerOperator, rhs: LogSeries):
             j = k + mu
             target = amp if k == p else Fraction(0)
             for jj in range(j + 1, p + mu + 1):
+                # derivatives past the degree of q are the zero polynomial
                 target = target - beta[jj] * math.comb(jj, jj - k) * derivs[
-                    jj - k
+                    min(jj - k, len(derivs) - 1)
                 ].evaluate(s)
             beta[j] = target / (math.comb(j, mu) * lead)
         pairs.extend(((s, j), val) for j, val in beta.items() if val)

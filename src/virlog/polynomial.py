@@ -38,10 +38,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import lcm
 from operator import add, sub
 from typing import Iterable, Union
 
 from .errors import DomainError, ParseError, SymbolError
+from .intpoly import content_free, divexact_int, squarefree_rational_roots, sturm_chain
 from .rational import parse_rational, render_rational
 
 # The fixed symbol registry.  Order matters: it is the significance order for
@@ -725,72 +727,31 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     return a.monic()
 
 
-def _divisors(n: int):
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def rational_roots(p: UniPoly):
     """All rational roots with multiplicities, plus the rootless residual.
 
     Returns (roots, residual) with roots a list of (Fraction, multiplicity)
     sorted by value and residual monic with no rational roots, so that
     p = lc * prod (x - r)^m * residual.
+
+    The work is exact and in ints: the real roots of the squarefree part
+    are isolated by Sturm sequences (see intpoly), and each rational one is
+    divided out of p as often as it goes.
     """
     if p.is_zero():
         raise DomainError("root finding on the zero polynomial")
     if not p.all_rational():
         raise DomainError("root finding needs rational coefficients")
-    var = p.var
-    roots = []
-    work = p.monic()
-
-    # split off the power of x first
-    k = 0
-    while work.degree() >= 1 and work.coeff(0) == 0:
-        work = work.divexact(UniPoly.x(var))
-        k += 1
-    if k:
-        roots.append((Fraction(0), k))
-
-    if work.degree() >= 1:
-        # integerize: candidates a/b with a | trailing, b | leading
-        from math import lcm
-
-        den = lcm(*[c.denominator for c in work.coeffs])
-        ints = [int(c * den) for c in work.coeffs]
-        from math import gcd
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g:
-            ints = [v // g for v in ints]
-        trailing, leading = ints[0], ints[-1]
-        seen = set()
-        for a in _divisors(trailing):
-            for b in _divisors(leading):
-                for cand in (Fraction(a, b), Fraction(-a, b)):
-                    if cand in seen:
-                        continue
-                    seen.add(cand)
-                    if work.evaluate(cand) == 0:
-                        mult = 0
-                        factor = UniPoly(var, (-cand, 1))
-                        while True:
-                            q, r = work.divmod(factor)
-                            if not r.is_zero():
-                                break
-                            work = q
-                            mult += 1
-                        roots.append((cand, mult))
+    den = lcm(*(c.denominator for c in p.coeffs))
+    f = content_free([c.numerator * (den // c.denominator) for c in p.coeffs])
+    k = next(i for i, c in enumerate(f) if c)
+    roots = [(Fraction(0), k)] if k else []
+    f = f[k:]
+    if len(f) > 1:
+        for r in squarefree_rational_roots(sturm_chain(f)):
+            factor, mult = [-r.numerator, r.denominator], 0
+            while (q := divexact_int(f, factor)) is not None:
+                f, mult = q, mult + 1
+            roots.append((r, mult))
     roots.sort(key=lambda rm: rm[0])
-    residual = work.monic() if not work.is_zero() else work
-    return roots, residual
+    return roots, UniPoly(p.var, [Fraction(c, f[-1]) for c in f])

@@ -11,11 +11,15 @@ import re
 import subprocess
 import sys
 
+from fractions import Fraction
+
 import pytest
 
 from virlog.cli import main
+from virlog.fusion import EulerOperator, LogSeries, fusion_indicial
 from virlog.fixtures import FixtureResult, report_table
 from virlog.modules import JordanVermaModule, shapovalov_determinant, shapovalov_matrix
+from virlog.polynomial import UniPoly
 from virlog.serialize import deserialize
 
 
@@ -114,6 +118,68 @@ def test_euler_solve_stdin(capsys, monkeypatch):
     parsed = json.loads(out)
     assert parsed["particular"]["terms"][0]["exponent"] == "3/4"
     assert parsed["particular"]["terms"][0]["logpower"] == 1
+
+
+def test_fusion_kac_t_three_quarters(capsys):
+    # a sextic whose coefficients have 11-digit denominators: the roots come
+    # from real-root isolation, and each divides the printed polynomial
+    # exactly as often as stated
+    args = ("--c", "1/2", "--h1", "5/3", "--h2", "65/16")
+    code, out, _ = run(capsys, "fusion", *args, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    fus = fusion_indicial(*(Fraction(a) for a in args[1::2])).fusion
+    assert doc["fusion_h3"] == fus.render()
+    assert doc["roots"] == [["-1/48", 1], ["35/48", 2], ["143/48", 1], ["323/48", 1],
+                            ["575/48", 1]]
+    assert doc["logarithmic"] is True
+    x = UniPoly.x("h3")
+    for root, mult in doc["roots"]:
+        factor = x - Fraction(root)
+        assert fus.divmod(factor**mult)[1].is_zero()
+        assert not fus.divmod(factor ** (mult + 1))[1].is_zero()
+
+
+def _euler_doc(op_terms, rhs_terms):
+    return json.dumps({
+        "op": {"terms": [{"xpow": x, "dorder": d, "coeff": c} for x, d, c in op_terms]},
+        "rhs": {"terms": [{"exponent": e, "logpower": p, "coeff": c} for e, p, c in rhs_terms]},
+    })
+
+
+@pytest.mark.parametrize("doc", [
+    _euler_doc([(0, 33, "1")], [("0", 0, "1")]),
+    _euler_doc([(-2, 2, "1"), (-35, 0, "1"), (0, 35, "1")], [("0", 0, "1")]),
+    _euler_doc([(0, 10**30, "1")], [("0", 0, "1")]),
+    _euler_doc([(-2, 2, "1")], [("0", 65, "1")]),
+    _euler_doc([(-2, 2, "1")], [("0", 1, "1"), ("1", 10**30, "1")]),
+])
+def test_euler_solve_oversized_input_exits_one(capsys, monkeypatch, doc):
+    def never(*args, **kwargs):
+        raise AssertionError("computation started")
+
+    monkeypatch.setattr("virlog.cli.solve_euler", never)
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code, out, err = run(capsys, "euler-solve")
+    assert code == 1
+    assert out == ""
+    assert re.fullmatch(r"virlog: error: (dorder|logpower) \d+ is above the limit \d+\n", err)
+
+
+@pytest.mark.parametrize("op_terms, rhs_terms", [
+    # the largest operator order and log power accepted
+    ([(0, 32, "1")], [("-32", 64, "1")]),
+    # s(s - 1) + 10^20 + 1: a 20-digit trailing coefficient, no rational root
+    ([(0, 2, "1"), (-2, 0, str(10**20 + 1))], [("0", 3, "1")]),
+])
+def test_euler_solve_at_the_cap_runs(capsys, monkeypatch, op_terms, rhs_terms):
+    doc = _euler_doc(op_terms, rhs_terms)
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code, out, _ = run(capsys, "euler-solve")
+    assert code == 0
+    parsed, given = json.loads(out), json.loads(doc)
+    op = EulerOperator.from_json(given["op"])
+    assert op.apply(LogSeries.from_json(parsed["particular"])) == LogSeries.from_json(given["rhs"])
 
 
 # -- wlog verbs -------------------------------------------------------------

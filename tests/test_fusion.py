@@ -216,6 +216,16 @@ def test_solve_euler_double_root_forcing():
     assert op.apply(particular) == LogSeries.monomial(0)
 
 
+@pytest.mark.parametrize("logpower", range(9))
+def test_solve_euler_log_power_above_the_indicial_degree(logpower):
+    # x^-2 d^2 has indicial s(s - 1); from log power 3 on, the solve reaches
+    # derivatives of it past its degree, which are zero
+    op = EulerOperator.monomial(2, 2)
+    rhs = LogSeries.monomial(0, logpower)
+    particular, _ = solve_euler(op, rhs)
+    assert op.apply(particular) == rhs
+
+
 def test_solve_euler_verification_property():
     rng = random.Random(11)
     for _ in range(30):

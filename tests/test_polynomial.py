@@ -4,6 +4,8 @@ Algebraic laws are property-based; printed forms and root splittings are
 checked against hand-computed expectations (small enough to verify by eye).
 """
 
+from collections import Counter
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
@@ -24,6 +26,8 @@ from virlog.polynomial import (
 from virlog.rational import parse_rational, render_rational
 from virlog.virasoro import UEAElement
 from virlog.wlog import LaurentField, WLogElement
+
+from rational_roots_oracle import rational_roots_by_divisors
 
 # -- rationals --------------------------------------------------------------
 
@@ -323,6 +327,49 @@ def test_rational_roots_reconstruction(p):
     assert rebuilt == p
     for r, _ in roots:
         assert residual.evaluate(r) != 0
+
+
+@st.composite
+def rooted_unipolys(draw):
+    """A constant times up to three rational linear factors, with
+    multiplicity, times a small factor that may have rational roots too."""
+    x = UniPoly.x("s")
+    p = UniPoly.const("s", draw(fractions_s.filter(bool)))
+    for _ in range(draw(st.integers(0, 3))):
+        root = draw(st.fractions(min_value=-12, max_value=12, max_denominator=5))
+        p = p * (x - root) ** draw(st.integers(1, 2))
+    rest = draw(unipolys(max_deg=3))
+    return p if rest.is_zero() else p * rest
+
+
+# the oracle's time, not the tested code's, varies with the draw
+@settings(max_examples=200, deadline=None)
+@given(rooted_unipolys())
+def test_rational_roots_match_divisor_enumeration(p):
+    roots, residual = rational_roots(p)
+    want_roots, want_residual = rational_roots_by_divisors(p)
+    assert roots == want_roots
+    assert residual.coeffs == want_residual.coeffs
+
+
+ROOTLESS = [UniPoly("s", cs) for cs in ([7], [1, 0, 1], [-2, 0, 1], [-5, 0, 3], [-2, 0, 0, 1],
+                                        [1, 0, -10, 0, 1])]
+huge = st.integers(10**19, 10**40)
+
+
+# divisor enumeration would take of the order of 10^10 steps per example
+@settings(max_examples=50, deadline=timedelta(seconds=2))
+@given(st.lists(st.tuples(huge, huge, st.booleans()), min_size=1, max_size=4),
+       st.sampled_from(ROOTLESS))
+def test_rational_roots_with_huge_coefficients(factors, rootless):
+    p, want = rootless, Counter()
+    for a, b, negative in factors:
+        a = -a if negative else a
+        p = p * UniPoly("s", (-a, b))  # b s - a
+        want[Fraction(a, b)] += 1
+    roots, residual = rational_roots(p)
+    assert roots == sorted(want.items())
+    assert residual == rootless.monic()
 
 
 def test_unipoly_symbolic_coefficients():
