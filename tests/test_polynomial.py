@@ -315,6 +315,14 @@ def test_rational_roots_with_residual():
     assert rebuilt == p
 
 
+def test_rational_root_next_to_an_irrational_one():
+    # -sqrt(7/2) ends in an interval holding no k/2, just right of the root -2
+    x = UniPoly.x("s")
+    roots, residual = rational_roots((x + 2) * (2 * x * x - 7))
+    assert roots == [(Fraction(-2), 1)]
+    assert residual == x * x - Fraction(7, 2)
+
+
 @given(unipolys())
 def test_rational_roots_reconstruction(p):
     if p.is_zero():
