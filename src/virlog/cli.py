@@ -51,7 +51,11 @@ from .wlog import _COCYCLES, CENTRAL, _cocycle_fn, check_jacobi, vacuum_expectat
 # polynomial: the slowest root finding found, 32 or 64 close rational roots
 # with 7-digit denominators, takes 0.6 s at degree 32 and 7 s at 64.  The
 # solve's work grows with the square of the rhs log power: 0.25 s at 64
-# and 0.7 s at 128 on a degree-32 operator.
+# and 0.7 s at 128 on a degree-32 operator.  Its coefficients need no cap
+# of their own: the parser refuses an int literal above the interpreter's
+# 4,300-digit limit (see rational.parse_rational), and root finding grows
+# about quadratically in the digits, so (s - N)(s - N - 1) with a
+# 4,299-digit constant term, near the largest, takes about 0.8 s.
 MAX_LEVEL = 8  # the default max_level of fusion_indicial
 MAX_JORDAN = 4
 MAX_SYMBOLIC_DET_ROWS = 15  # on --jordan times the partition count of --level

@@ -27,7 +27,7 @@ from .polynomial import (
     as_fraction,
     coeff_from_json,
     coeff_to_json,
-    poly_gcd,
+    is_squarefree,
     rational_roots,
     render_terms,
     sym,
@@ -209,8 +209,8 @@ class IndicialData:
 
     @property
     def logarithmic(self) -> bool:
-        # squarefree test, so a repeated irrational root would count too
-        return poly_gcd(self.fusion, self.fusion.derivative()).degree() > 0
+        # a repeated irrational root counts too
+        return not is_squarefree(self.fusion)
 
     def to_json(self) -> dict:
         return {

@@ -4,8 +4,10 @@ A polynomial here is a list of ints, lowest degree first, with a nonzero
 last entry.  polynomial.rational_roots works on these: it clears the
 denominators of a UniPoly, isolates the real roots of its squarefree part
 by Sturm sequences and refines each isolating interval until the root is
-shown rational or not.  Every step is exact integer arithmetic; dyadic
-points num / 2^e are evaluated homogeneously, as 2^(e deg) f(num / 2^e).
+shown rational or not.  polynomial.is_squarefree, behind the logarithmic
+flag of a fusion polynomial, reads the gcd(f, f') that ends the same
+remainder sequence.  Every step is exact integer arithmetic; dyadic points
+num / 2^e are evaluated homogeneously, as 2^(e deg) f(num / 2^e).
 """
 
 from __future__ import annotations
@@ -53,12 +55,12 @@ def divexact_int(f: list, d: list):
     return None if any(r[:dd]) else q
 
 
-def sturm_chain(f: list) -> list:
-    """Sturm sequence of the squarefree part g of f, g first.
+def _remainder_sequence(f: list) -> list:
+    """The primitive remainder sequence of f and f' (Collins 1967).
 
-    The primitive remainder sequence of f and f' ends in gcd(f, f'); each
-    member divided by it is a positive or negative multiple, the same sign
-    for all members at any point, of the Sturm sequence of g.
+    Each member after the first two is the negated remainder of the two
+    before it, made primitive; the last one is gcd(f, f') up to sign, or
+    the empty list when f is constant.
     """
     chain = [f, content_free([i * c for i, c in enumerate(f)][1:])]
     while len(chain[-1]) > 1:
@@ -67,6 +69,22 @@ def sturm_chain(f: list) -> list:
         if not r:
             break
         chain.append(content_free([-c for c in r]))
+    return chain
+
+
+def is_squarefree_int(f: list) -> bool:
+    """Whether f has no repeated complex root, that is gcd(f, f') is constant."""
+    return len(_remainder_sequence(f)[-1]) <= 1
+
+
+def sturm_chain(f: list) -> list:
+    """Sturm sequence of the squarefree part g of f, g first.
+
+    Each member of the remainder sequence of f and f', divided by its last
+    member gcd(f, f'), is a positive or negative multiple, the same sign for
+    all members at any point, of the Sturm sequence of g.
+    """
+    chain = _remainder_sequence(f)
     d = chain[-1]
     if len(d) > 1:
         chain = [divexact_int(s, d) for s in chain]

@@ -61,14 +61,6 @@ class ExactMatrix:
             )
         )
 
-    def matvec(self, vec):
-        if len(vec) != self.cols:
-            raise ShapeError("vector length does not match column count")
-        return [
-            sum((self.entries[i][j] * vec[j] for j in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        ]
-
     # -- determinant -------------------------------------------------------
 
     def determinant(self) -> Coeff:
@@ -99,30 +91,6 @@ class ExactMatrix:
         if terms is None:
             return Fraction(0)
         return MultiPoly(vars, {e: Fraction(c, scale**n) for e, c in terms.items()})
-
-    def determinant_cofactor(self) -> Coeff:
-        """Laplace expansion; exponential, kept as an independent cross-check."""
-        if self.rows != self.cols:
-            raise ShapeError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return Fraction(1)
-        if n == 1:
-            return self.entries[0][0]
-        total: Coeff = Fraction(0)
-        for j in range(n):
-            a = self.entries[0][j]
-            if not a:
-                continue
-            minor = ExactMatrix(
-                [
-                    [self.entries[i][jj] for jj in range(n) if jj != j]
-                    for i in range(1, n)
-                ]
-            )
-            term = a * minor.determinant_cofactor()
-            total = total + (-term if j % 2 else term)
-        return total
 
     # -- kernel ------------------------------------------------------------
 

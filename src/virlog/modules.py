@@ -386,12 +386,6 @@ def basis_vector(mod: JordanVermaModule, lam, top: int = 1) -> ModuleVector:
     return ModuleVector(mod, sum(lam), {(lam, top): Fraction(1)})
 
 
-def apply_mode(mod: JordanVermaModule, k: int, vec: ModuleVector) -> ModuleVector:
-    if vec.module != mod:
-        raise ShapeError("vector does not belong to the given module")
-    return vec.apply_mode(k)
-
-
 # -- matrices over Q[c, h] --------------------------------------------------
 
 # A matrix over Q[c, h] is kept as a table of ints (_table) and evaluated

@@ -12,7 +12,7 @@ for deterministic serialization.  Exact division takes leading terms in a
 graded order of its own (see divexact_terms).
 
 UniPoly is a dense univariate polynomial (coefficient list indexed by power)
-whose coefficients are Fractions or MultiPolys.  Root finding and gcd require
+whose coefficients are Fractions or MultiPolys.  Root finding requires
 Fraction coefficients.
 
 Coefficients elsewhere in the package are "Coeff" = Fraction | MultiPoly; the
@@ -43,7 +43,13 @@ from operator import add, sub
 from typing import Iterable, Union
 
 from .errors import DomainError, ParseError, SymbolError
-from .intpoly import content_free, divexact_int, squarefree_rational_roots, sturm_chain
+from .intpoly import (
+    content_free,
+    divexact_int,
+    is_squarefree_int,
+    squarefree_rational_roots,
+    sturm_chain,
+)
 from .rational import parse_rational, render_rational
 
 # The fixed symbol registry.  Order matters: it is the significance order for
@@ -116,12 +122,6 @@ class MultiPoly:
         if not self.is_constant():
             raise SymbolError(f"not a constant: {self.render()}")
         return next(iter(self.terms.values()))
-
-    def total_degree(self) -> int:
-        # degree of the zero polynomial is -1 by convention
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def degree_in(self, var: str) -> int:
         if var not in self.vars:
@@ -655,34 +655,6 @@ class UniPoly:
             raise DomainError("monic normalization needs rational coefficients")
         return self * (1 / lead)
 
-    def divmod(self, other: "UniPoly"):
-        """Long division over rational coefficients: self = q*other + r."""
-        self._same_var(other)
-        if other.is_zero():
-            raise DomainError("division by zero polynomial")
-        if not (self.all_rational() and other.all_rational()):
-            raise DomainError("polynomial division needs rational coefficients")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        d = other.coeffs
-        while len(rem) >= len(d):
-            factor = rem[-1] / d[-1]
-            pos = len(rem) - len(d)
-            q[pos] = factor
-            for i, dc in enumerate(d):
-                rem[pos + i] -= factor * dc
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if not rem:
-                break
-        return UniPoly(self.var, q), UniPoly(self.var, rem)
-
-    def divexact(self, other: "UniPoly") -> "UniPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise DomainError("inexact univariate division")
-        return q
-
     def render(self) -> str:
         return render_terms(
             (self.coeffs[k], "" if k == 0 else self.var if k == 1 else f"{self.var}^{k}")
@@ -715,16 +687,21 @@ class UniPoly:
         return cls(var, coeffs)
 
 
-def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd over the rationals (Euclid with monic normalization)."""
-    if a.var != b.var:
-        raise SymbolError(f"variable mismatch: {a.var} vs {b.var}")
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    return a.monic()
+def _integer_coeffs(p: UniPoly) -> list:
+    """The coefficients of p times the lcm of their denominators, made
+    primitive: an int polynomial with the roots of p."""
+    if p.is_zero():
+        raise DomainError("root finding on the zero polynomial")
+    if not p.all_rational():
+        raise DomainError("root finding needs rational coefficients")
+    den = lcm(*(c.denominator for c in p.coeffs))
+    return content_free([c.numerator * (den // c.denominator) for c in p.coeffs])
+
+
+def is_squarefree(p: UniPoly) -> bool:
+    """Whether p, nonzero with rational coefficients, has no repeated root
+    over the complex numbers."""
+    return is_squarefree_int(_integer_coeffs(p))
 
 
 def rational_roots(p: UniPoly):
@@ -738,12 +715,7 @@ def rational_roots(p: UniPoly):
     are isolated by Sturm sequences (see intpoly), and each rational one is
     divided out of p as often as it goes.
     """
-    if p.is_zero():
-        raise DomainError("root finding on the zero polynomial")
-    if not p.all_rational():
-        raise DomainError("root finding needs rational coefficients")
-    den = lcm(*(c.denominator for c in p.coeffs))
-    f = content_free([c.numerator * (den // c.denominator) for c in p.coeffs])
+    f = _integer_coeffs(p)
     k = next(i for i, c in enumerate(f) if c)
     roots = [(Fraction(0), k)] if k else []
     f = f[k:]

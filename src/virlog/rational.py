@@ -10,6 +10,7 @@ so no value in the package can silently pass through binary floating point.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import ParseError
@@ -24,10 +25,15 @@ def parse_rational(text: str) -> Fraction:
     m = _RATIONAL_RE.match(text)
     if not m:
         raise ParseError(f"not an exact rational literal: {text!r}")
-    num = int(m.group(1))
-    if m.group(2) is None:
-        return Fraction(num)
-    den = int(m.group(2))
+    try:
+        num = int(m.group(1))
+        den = 1 if m.group(2) is None else int(m.group(2))
+    except ValueError:
+        # CPython refuses to convert strings of more digits than its limit
+        digits = max(len(g.lstrip("+-")) for g in m.groups() if g)
+        raise ParseError(
+            f"rational literal of {digits} digits is above the limit {sys.get_int_max_str_digits()}"
+        ) from None
     if den == 0:
         raise ParseError(f"zero denominator: {text!r}")
     return Fraction(num, den)

@@ -3,10 +3,10 @@ polynomial.rational_roots against.
 
 Every rational root a/b of an integer polynomial has a | trailing and
 b | leading coefficient, so it tries each such candidate in Fraction
-arithmetic and divides each root out as often as it goes.  It shares
-nothing with the real-root isolation of the package but UniPoly, and it
-takes time of the order of the square root of the two coefficients, so
-the tests keep its inputs small.
+arithmetic and divides each root out as often as it goes, by its own
+synthetic division.  It shares nothing with the real-root isolation of the
+package but UniPoly, and it takes time of the order of the square root of
+the two coefficients, so the tests keep its inputs small.
 """
 
 from fractions import Fraction
@@ -28,16 +28,25 @@ def _divisors(n: int):
     return small + large[::-1]
 
 
+def _divide_linear(p: UniPoly, r: Fraction):
+    """(q, p(r)) with p = (x - r) q + p(r), by synthetic division."""
+    acc, coeffs = Fraction(0), []
+    for c in reversed(p.coeffs):
+        acc = acc * r + c
+        coeffs.append(acc)
+    rem = coeffs.pop()
+    return UniPoly(p.var, coeffs[::-1]), rem
+
+
 def rational_roots_by_divisors(p: UniPoly):
     """(roots, residual) as rational_roots returns them."""
-    var = p.var
     roots = []
     work = p.monic()
 
     # split off the power of x first
     k = 0
     while work.degree() >= 1 and work.coeff(0) == 0:
-        work = work.divexact(UniPoly.x(var))
+        work, _ = _divide_linear(work, Fraction(0))
         k += 1
     if k:
         roots.append((Fraction(0), k))
@@ -55,15 +64,12 @@ def rational_roots_by_divisors(p: UniPoly):
                     if cand in seen:
                         continue
                     seen.add(cand)
-                    if work.evaluate(cand) == 0:
-                        mult = 0
-                        factor = UniPoly(var, (-cand, 1))
-                        while True:
-                            q, r = work.divmod(factor)
-                            if not r.is_zero():
-                                break
-                            work = q
-                            mult += 1
+                    mult = 0
+                    q, rem = _divide_linear(work, cand)
+                    while not rem:
+                        work, mult = q, mult + 1
+                        q, rem = _divide_linear(work, cand)
+                    if mult:
                         roots.append((cand, mult))
     roots.sort(key=lambda rm: rm[0])
     return roots, work.monic()

@@ -19,7 +19,6 @@ from virlog.cli import main
 from virlog.fusion import EulerOperator, LogSeries, fusion_indicial
 from virlog.fixtures import FixtureResult, report_table
 from virlog.modules import JordanVermaModule, shapovalov_determinant, shapovalov_matrix
-from virlog.polynomial import UniPoly
 from virlog.serialize import deserialize
 
 
@@ -133,11 +132,14 @@ def test_fusion_kac_t_three_quarters(capsys):
     assert doc["roots"] == [["-1/48", 1], ["35/48", 2], ["143/48", 1], ["323/48", 1],
                             ["575/48", 1]]
     assert doc["logarithmic"] is True
-    x = UniPoly.x("h3")
+    # a root of multiplicity m is a zero of the first m - 1 derivatives and
+    # not of the m-th
     for root, mult in doc["roots"]:
-        factor = x - Fraction(root)
-        assert fus.divmod(factor**mult)[1].is_zero()
-        assert not fus.divmod(factor ** (mult + 1))[1].is_zero()
+        values, d = [], fus
+        for _ in range(mult + 1):
+            values.append(d.evaluate(Fraction(root)))
+            d = d.derivative()
+        assert values[:mult] == [0] * mult and values[mult] != 0
 
 
 def _euler_doc(op_terms, rhs_terms):
@@ -180,6 +182,20 @@ def test_euler_solve_at_the_cap_runs(capsys, monkeypatch, op_terms, rhs_terms):
     parsed, given = json.loads(out), json.loads(doc)
     op = EulerOperator.from_json(given["op"])
     assert op.apply(LogSeries.from_json(parsed["particular"])) == LogSeries.from_json(given["rhs"])
+
+
+@pytest.mark.parametrize("coeff", ["1" + "0" * 5000, "-3/1" + "0" * 5000],
+                         ids=["numerator", "denominator"])
+def test_euler_solve_oversized_literal_exits_one(capsys, monkeypatch, coeff):
+    # more digits than the interpreter converts from a string
+    doc = _euler_doc([(0, 2, "1"), (-2, 0, coeff)], [("0", 0, "1")])
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code, out, err = run(capsys, "euler-solve")
+    assert code == 1
+    assert out == ""
+    limit = sys.get_int_max_str_digits()
+    assert err == f"virlog: error: rational literal of 5001 digits is above the limit {limit}\n"
+    assert "Traceback" not in err
 
 
 # -- wlog verbs -------------------------------------------------------------

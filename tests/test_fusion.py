@@ -10,10 +10,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from virlog.errors import DomainError
 from virlog.fusion import (
     EulerOperator,
+    IndicialData,
     LogSeries,
     descent_factor,
     descent_operator,
@@ -24,7 +27,7 @@ from virlog.fusion import (
     solve_euler,
 )
 from virlog.modules import JordanVermaModule, singular_vectors
-from virlog.polynomial import UniPoly, sym
+from virlog.polynomial import UniPoly, rational_roots, sym
 
 
 def _roots_dict(data):
@@ -131,6 +134,50 @@ def test_family_cminus2_logarithmic_fusion():
     assert data.fusion == UniPoly("h3", (0, 0, 1))
     assert data.roots == [(Fraction(0), 2)]
     assert data.logarithmic is True
+
+
+# -- the logarithmic flag on fusion polynomials built from their factors ----
+
+
+def _indicial_data_of(fus: UniPoly) -> IndicialData:
+    return IndicialData(fus.degree(), fus.rename("s"), fus, *rational_roots(fus))
+
+
+_h3 = UniPoly.x("h3")
+
+
+@pytest.mark.parametrize("fus, logarithmic", [
+    # a repeated irrational root: no rational root is repeated
+    ((_h3 * _h3 - 2) ** 2 * (_h3 - 1), True),
+    # a double root at 0
+    (_h3 * _h3 * (_h3 - 3), True),
+    ((_h3 * _h3 - 2) * (_h3 - Fraction(1, 3)), False),
+    (7 * _h3 - 2, False),
+    (UniPoly.const("h3", Fraction(5, 3)), False),
+])
+def test_logarithmic_by_construction(fus, logarithmic):
+    data = _indicial_data_of(fus)
+    assert data.logarithmic is logarithmic
+    assert data.to_json()["logarithmic"] is logarithmic
+
+
+# pairwise coprime factors: h3 - r for distinct r, h3^2 - p for distinct primes p
+_linear = st.lists(st.fractions(-5, 5, max_denominator=4), unique=True, max_size=3).map(
+    lambda rs: [_h3 - r for r in rs])
+_quadratics = st.lists(st.sampled_from([2, 3, 5, 7]), unique=True, max_size=2).map(
+    lambda ps: [_h3 * _h3 - p for p in ps])
+
+
+@given(_linear, _quadratics, st.data())
+def test_logarithmic_iff_a_factor_repeats(linear, quadratic, data):
+    factors = linear + quadratic
+    powers = data.draw(st.lists(st.integers(1, 3), min_size=len(factors),
+                                max_size=len(factors)))
+    lead = data.draw(st.fractions(1, 9, max_denominator=5))
+    fus = UniPoly.const("h3", lead)
+    for f, k in zip(factors, powers):
+        fus = fus * f**k
+    assert _indicial_data_of(fus).logarithmic is any(k > 1 for k in powers)
 
 
 def test_family_c1_grid_matches_fixture_products():

@@ -16,6 +16,7 @@ from virlog.errors import DomainError, ShapeError
 from virlog.linalg import ExactMatrix
 from virlog.polynomial import MultiPoly, coeff_to_json, sym
 
+from cofactor_determinant import determinant_cofactor
 from sparse_bareiss import sparse_bareiss
 
 fractions_s = st.fractions(min_value=-8, max_value=8, max_denominator=4)
@@ -41,7 +42,7 @@ def rect_matrices(draw, max_n=5):
 @given(square_matrices())
 @settings(max_examples=60)
 def test_bareiss_matches_cofactor(m):
-    assert m.determinant() == m.determinant_cofactor()
+    assert m.determinant() == determinant_cofactor(m.entries)
 
 
 def test_determinant_needs_row_swap():
@@ -84,7 +85,7 @@ def symbolic_entries(draw):
 def test_symbolic_bareiss_matches_cofactor(rows):
     m = ExactMatrix(rows)
     det = m.determinant()
-    assert det == m.determinant_cofactor()
+    assert det == determinant_cofactor(rows)
     if isinstance(det, MultiPoly):
         assert all(type(q) is Fraction for q in det.terms.values())
     elif any(isinstance(x, MultiPoly) for row in rows for x in row):
@@ -131,7 +132,7 @@ def assert_same_determinant(rows):
         assert all(type(q) is Fraction for q in det.terms.values())
     else:
         assert det == ref
-    assert det == ExactMatrix(rows).determinant_cofactor()
+    assert det == determinant_cofactor(rows)
 
 
 @given(packed_route_matrices())
@@ -238,7 +239,7 @@ def test_symbolic_determinant():
             [Fraction(0), c, h * h],
         ]
     )
-    assert m3.determinant() == m3.determinant_cofactor()
+    assert m3.determinant() == determinant_cofactor(m3.entries)
 
 
 def test_non_square_determinant_raises():
@@ -261,7 +262,7 @@ def test_null_space_known_kernel():
         # free columns carry the unit entries
         assert basis == want
         for vec in basis:
-            assert all(x == 0 for x in m.matvec(vec))
+            assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in m.entries)
 
 
 def rref_reference(entries):
@@ -319,7 +320,7 @@ def test_rank_nullity(m):
     basis = m.null_space()
     assert m.rank() + len(basis) == m.cols
     for vec in basis:
-        assert all(x == 0 for x in m.matvec(vec))
+        assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in m.entries)
 
 
 def test_null_space_rejects_symbolic():
