@@ -1,28 +1,33 @@
-"""Exact dense matrices: one fraction-free integer elimination for
-determinants, ranks and kernels.
+"""Exact dense matrices: a fraction-free integer elimination for
+determinants and a certified modular kernel for ranks and kernels.
 
-Entries are Coeff = Fraction | MultiPoly.  The matrix is scaled to integer
-coefficients and eliminated without fractions: Bareiss (1968) for the
-determinant, its Gauss-Jordan form (Nakos, Turner and Williams 1997,
-"Fraction-free algorithms for linear and polynomial equations") for the
-reduced row echelon form behind rank and kernel, which need rational
-entries.  Every intermediate is a minor of the scaled matrix, so each
-division is exact in Z and no Fraction is built until the end.
+Entries are Coeff = Fraction | MultiPoly.  The matrix is first scaled to
+integer coefficients.  The determinant is a Bareiss (1968) elimination in
+Z: every intermediate is a minor of the scaled matrix, so each division is
+exact and no Fraction is built until the end.
 
-Elimination only ever sees ints.  A determinant over Z[vars] is evaluated
-at an integer grid in all vars but the last, which is packed into each
-entry as a power of two (Kronecker substitution), and recovered from the
-integer determinants by unpacking digits and interpolating over the grid.
+A determinant over Z[vars] is evaluated at an integer grid in all vars but
+the last, which is packed into each entry as a power of two (Kronecker
+substitution), and recovered from the integer determinants by unpacking
+digits and interpolating over the grid.
+
+The reduced row echelon form behind rank and kernel is computed mod primes
+just below 2^62 and lifted by the Chinese remainder theorem and rational
+reconstruction (the multi-modular solve of Cabay 1971, with Wang's 1981
+reconstruction).  Rank mod p is at most the rank over Q, so full column rank
+mod one prime is full rank over Q.  Otherwise each lifted kernel vector is
+checked exactly, M v = 0 in ints, and the checks prove the whole form: see
+ExactMatrix.rref.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import product
-from math import lcm, prod
+from itertools import count, product
+from math import gcd, isqrt, lcm, prod
 
-from .errors import DomainError, ParseError, ShapeError
+from .errors import DomainError, ParseError, ShapeError, SymbolError
 from .polynomial import (
     Coeff,
     MultiPoly,
@@ -97,20 +102,43 @@ class ExactMatrix:
     def rref(self):
         """(reduced row echelon form, pivot column list); rational entries only.
 
-        Fraction-free Gauss-Jordan on the matrix scaled to integers leaves
-        every pivot equal to the last one, d, so the reduced form is the
-        scaled matrix over d.
+        The matrix is scaled to integers m and reduced mod a prime p; the
+        pivot profile mod p is the list of its pivot columns.  Rank mod p is
+        at most the rank over Q, so when every column has a pivot mod p the
+        form is [I; 0] at once.  Otherwise the entries of each free column f
+        in the pivot rows before f are combined over primes of the same
+        profile by the Chinese remainder theorem and rationally
+        reconstructed, giving v_f: 1 at f, 0 at the other free columns and
+        minus those entries at the earlier pivots.  Each v_f is checked
+        exactly, m v_f = 0 in ints, or another prime is taken.
+
+        Once every check passes the result is exact.  A v_f in the kernel
+        makes column f a combination of earlier columns, so f is free over Q
+        too; there are no more free columns over Q than mod p, so the free
+        sets, and the pivots, agree; and the reduced form with given pivots
+        is the unique one whose free columns give kernel vectors of that
+        shape.  A prime whose profile differs from the one being lifted is
+        unlucky for one of the two; the profile over Q is the greedy one,
+        so the profile that comes first in greedy order (a pivot at the
+        first column where they differ) is kept and lifting restarts from
+        it.  The entries are ratios of minors of m, at most its Hadamard
+        bound H, so once the lucky primes multiply past 2 H^2 the
+        reconstruction is exact, which caps the number of primes.
         """
-        polys = [x for row in self.entries for x in row if isinstance(x, MultiPoly)]
-        if not all(p.is_constant() for p in polys):
-            raise DomainError("kernel computation needs rational entries")
-        m, _, _ = _scaled([
-            [x.constant_value() if isinstance(x, MultiPoly) else x for x in row]
-            for row in self.entries
-        ])
-        pivots, _ = _eliminate(m, self.cols, True)
-        d = m[len(pivots) - 1][pivots[-1]] if pivots else 1
-        return ExactMatrix([[Fraction(x, d) for x in row] for row in m]), pivots
+        try:
+            values = [[x.constant_value() if isinstance(x, MultiPoly) else x for x in row]
+                      for row in self.entries]
+        except SymbolError:
+            raise DomainError("kernel computation needs rational entries") from None
+        pivots, lifted = _modular_rref(_int_rows(values)[0], self.cols)
+        one, zero = Fraction(1), Fraction(0)
+        reduced = [[zero] * self.cols for _ in range(self.rows)]
+        for r, pc in enumerate(pivots):
+            reduced[r][pc] = one
+        for f, column in lifted.items():
+            for r, q in enumerate(column):
+                reduced[r][f] = q
+        return ExactMatrix(reduced), pivots
 
     def null_space(self):
         """Basis of the right kernel, one vector per free column.
@@ -168,7 +196,7 @@ class ExactMatrix:
         return m
 
 
-# -- fraction-free elimination ----------------------------------------------
+# -- integer elimination ----------------------------------------------------
 
 
 def exact_int_div(a: int, b: int) -> int:
@@ -179,6 +207,12 @@ def exact_int_div(a: int, b: int) -> int:
     return q
 
 
+def _int_rows(values):
+    """(rows, D): the rational values times D, the lcm of their denominators."""
+    scale = lcm(*(x.denominator for row in values for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in values], scale
+
+
 def _scaled(entries):
     """(rows, D, vars): the entries times D, the lcm of all coefficient
     denominators, and vars, the union of the entries' vars (None when no
@@ -187,10 +221,8 @@ def _scaled(entries):
     polys = [x for row in entries for x in row if isinstance(x, MultiPoly)]
     vars = reduce(merge_vars, (p.vars for p in polys), ()) if polys else None
     if not vars:
-        values = [[x.constant_value() if isinstance(x, MultiPoly) else x for x in row]
-                  for row in entries]
-        scale = lcm(*(x.denominator for row in values for x in row))
-        m = [[x.numerator * (scale // x.denominator) for x in row] for row in values]
+        m, scale = _int_rows([[x.constant_value() if isinstance(x, MultiPoly) else x for x in row]
+                              for row in entries])
         return m, scale, vars
     rows = [
         [x._aligned(vars) if isinstance(x, MultiPoly) else {(0,) * len(vars): x} if x else {}
@@ -205,16 +237,14 @@ def _scaled(entries):
     return m, scale, vars
 
 
-def _eliminate(m, cols, reduced):
-    """Fraction-free elimination, in place, of the int rows m over the
-    columns before cols; returns (pivot columns, sign of the row swaps).
+def _eliminate(m, cols):
+    """Bareiss elimination, in place, of the int rows m over the columns
+    before cols; returns (pivot columns, sign of the row swaps).
 
     A column's pivot is its first nonzero entry at or below the next pivot
     row, swapped up; a column without one is skipped.  Each row below the
-    pivot, or with reduced each other row, becomes (piv * row - a * top) /
-    prev, a being its entry in the pivot column and prev the previous pivot;
-    the division is exact.  Reduced rows are updated whole, free columns
-    left of the pivot included, so all pivots end equal to the last one.
+    pivot becomes (piv * row - a * top) / prev, a being its entry in the
+    pivot column and prev the previous pivot; the division is exact.
     """
     sign, r, prev, pivots = 1, 0, 1, []
     for col in range(cols):
@@ -226,11 +256,10 @@ def _eliminate(m, cols, reduced):
             sign = -sign
         top = m[r]
         piv = top[col]
-        for row in m if reduced else m[r + 1:]:
-            if row is not top:
-                a = row[col]
-                for j in range(0 if reduced else col + 1, len(row)):
-                    row[j] = exact_int_div(piv * row[j] - a * top[j], prev)
+        for row in m[r + 1:]:
+            a = row[col]
+            for j in range(col + 1, len(row)):
+                row[j] = exact_int_div(piv * row[j] - a * top[j], prev)
         prev = piv
         pivots.append(col)
         r += 1
@@ -241,7 +270,7 @@ def _int_det(m):
     """Bareiss determinant of the square int rows m, eliminated in place;
     None when a column before the last has no pivot."""
     n = len(m)
-    pivots, sign = _eliminate(m, n - 1, False)
+    pivots, sign = _eliminate(m, n - 1)
     return sign * m[n - 1][n - 1] if len(pivots) == n - 1 else None
 
 
@@ -333,3 +362,153 @@ def _monomial_coeffs(values):
         coeffs = [newton[k] - k * coeffs[0]] + [
             a - k * b for a, b in zip(coeffs, coeffs[1:])] + [coeffs[-1]]
     return coeffs
+
+
+# -- modular kernel ----------------------------------------------------------
+
+# Primes just below 2^62, largest first.  The first is fixed; later ones are
+# found when a call first needs them, and kept.
+_PRIMES = [2**62 - 57]
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the first twelve primes as bases: exact for odd
+    n < 3.3 * 10^24."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime(k: int) -> int:
+    """The (k + 1)-th largest prime below 2^62."""
+    while len(_PRIMES) <= k:
+        n = _PRIMES[-1] - 2
+        while not _is_prime(n):
+            n -= 2
+        _PRIMES.append(n)
+    return _PRIMES[k]
+
+
+def _rref_mod(m, cols, p):
+    """(pivot columns, pivot rows) of the reduced row echelon form of the
+    int rows m mod the prime p.  Pivot row r is kept from its pivot column
+    on: row[j - pivots[r]] is its entry in column j.  The rows are only
+    back-substituted when some column is free."""
+    rows = [[x % p for x in row] for row in m]
+    pivots, done = [], []
+    for col in range(cols):
+        i = next((i for i, row in enumerate(rows) if row[col]), None)
+        if i is None:
+            continue
+        top = rows.pop(i)
+        inv = pow(top[col], -1, p)
+        tail = [x * inv % p for x in top[col + 1:]]
+        for row in rows:
+            a = row[col]
+            if a:
+                row[col + 1:] = [(x - a * y) % p for x, y in zip(row[col + 1:], tail)]
+        pivots.append(col)
+        done.append([1] + tail)
+        if not rows:
+            break
+    if len(pivots) < cols:
+        for r in range(len(done) - 1, 0, -1):
+            pc, below = pivots[r], done[r]
+            for s in range(r):
+                row, at = done[s], pc - pivots[s]
+                a = row[at]
+                if a:
+                    row[at:] = [(x - a * y) % p for x, y in zip(row[at:], below)]
+    return pivots, done
+
+
+def _reconstruct(u: int, modulus: int):
+    """The Fraction a/b with a = u b mod modulus, b prime to modulus and
+    |a|, b <= N = isqrt((modulus - 1) // 2), or None.  As 2 N^2 < modulus
+    there is at most one; Wang's half extended Euclid finds it at the first
+    remainder at most N."""
+    bound = isqrt((modulus - 1) // 2)
+    r0, r1, t0, t1 = modulus, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _lift(m, pivots, residues, modulus):
+    """{free column f: its entries in the pivot rows before f}, rationally
+    reconstructed from residues mod modulus, when every entry reconstructs
+    and every kernel vector v_f passes the exact check m v_f = 0; else None."""
+    lifted = {}
+    for f, column in residues.items():
+        values = []
+        for u in column:
+            q = _reconstruct(u, modulus)
+            if q is None:
+                return None
+            values.append(q)
+        den = lcm(*(q.denominator for q in values))
+        # den * v_f, on its support
+        support = [(pc, -q.numerator * (den // q.denominator))
+                   for pc, q in zip(pivots, values)]
+        support.append((f, den))
+        if any(sum(row[j] * w for j, w in support) for row in m):
+            return None
+        lifted[f] = values
+    return lifted
+
+
+def _modular_rref(m, cols):
+    """(pivot columns, {free column f: Fraction entries of f in the pivot
+    rows before f}) of the reduced row echelon form of the int rows m; the
+    entries in later pivot rows are 0.  See ExactMatrix.rref."""
+    best, tried = None, 1
+    for k in count():
+        if k == 1:
+            # h2 >= H^2 is the product of the columns' squared norms.
+            # Unlucky primes divide one nonzero minor, so they multiply to
+            # at most H, and the lucky ones to at most 2 h2 before the last
+            h2 = prod(max(1, sum(x * x for x in col)) for col in zip(*m))
+            cap = h2 * h2 << 63
+        if k and tried > cap:
+            raise ArithmeticError("modular rref passed its prime bound")
+        p = _prime(k)
+        tried *= p
+        pivots, done = _rref_mod(m, cols, p)
+        if len(pivots) == cols:
+            return pivots, {}
+        # lists compare in greedy order: the first with a pivot where they
+        # differ comes first, cols standing for "no more pivots"
+        profile = pivots + [cols]
+        found = {
+            f: [row[f - pc] for row, pc in zip(done, pivots) if pc < f]
+            for f in range(cols) if f not in pivots
+        }
+        if best is None or profile < best:
+            # lift from this prime alone
+            best, modulus, residues = profile, p, found
+        elif profile == best:
+            inv = pow(modulus, -1, p)
+            for f, column in residues.items():
+                column[:] = [x + modulus * ((y - x) * inv % p) for x, y in zip(column, found[f])]
+            modulus *= p
+        else:
+            continue
+        lifted = _lift(m, pivots, residues, modulus)
+        if lifted is not None:
+            return pivots, lifted

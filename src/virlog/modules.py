@@ -422,14 +422,16 @@ def _poly(terms: dict) -> Coeff:
     )
 
 
-def _on_module(table, mod: JordanVermaModule) -> list:
-    """Rows of the matrix the table gives on mod, numeric or fully symbolic.
-
-    A numeric entry is summed in ints over the common denominator
-    den * cd^A * hd^B, c = cn/cd and h = hn/hd, and made one Fraction.
+def _on_module(table, mod: JordanVermaModule) -> tuple:
+    """(rows, scale): the matrix the table gives on mod, numeric or fully
+    symbolic, times scale.  Symbolic rows are over Q[c, h] and scale is 1.
+    Numeric rows are summed in ints and scale is the common denominator
+    den * cd^A * hd^B, c = cn/cd and h = hn/hd.
     """
     den, amax, bmax, rows = table
     if mod.symbolic:
+        scale, zero = 1, Fraction(0)
+
         def value(entry, k):
             return _poly({(a, b - k): Fraction(num * comb(b, k), den)
                           for num, a, b in entry if b >= k})
@@ -438,20 +440,20 @@ def _on_module(table, mod: JordanVermaModule) -> list:
         hn, hd = mod.h.numerator, mod.h.denominator
         cpow = [cn**a * cd ** (amax - a) for a in range(amax + 1)]
         hpow = [hn**b * hd ** (bmax - b) for b in range(bmax + 1)]
-        scale = den * cd**amax * hd**bmax
+        scale, zero = den * cd**amax * hd**bmax, 0
 
         def value(entry, k):
-            return Fraction(sum(num * comb(b, k) * cpow[a] * hpow[b - k]
-                                for num, a, b in entry if b >= k), scale)
+            return sum(num * comb(b, k) * cpow[a] * hpow[b - k]
+                       for num, a, b in entry if b >= k)
 
     n = mod.jordan
     blocks = [[[value(entry, k) for entry in row] for row in rows] for k in range(n)]
-    zero = [Fraction(0)] * len(rows[0])
+    zeros = [zero] * len(rows[0])
     return [
-        zero * i + [x for k in range(n - i) for x in blocks[k][r]]
+        zeros * i + [x for k in range(n - i) for x in blocks[k][r]]
         for i in range(n)
         for r in range(len(rows))
-    ]
+    ], scale
 
 
 @lru_cache(maxsize=None)
@@ -505,7 +507,10 @@ def shapovalov_matrix(mod: JordanVermaModule, level: int) -> ExactMatrix:
     """Gram matrix of (a, b) = coefficient of the paired top vector in
     (transpose word of a) applied to b, on the level basis order."""
     mod.require_unmixed()
-    return ExactMatrix(_on_module(_gram_table(level), mod))
+    rows, scale = _on_module(_gram_table(level), mod)
+    if not mod.symbolic:
+        rows = [[Fraction(x, scale) for x in row] for row in rows]
+    return ExactMatrix(rows)
 
 
 def shapovalov_determinant(mod: JordanVermaModule, level: int) -> Coeff:
@@ -515,7 +520,9 @@ def shapovalov_determinant(mod: JordanVermaModule, level: int) -> Coeff:
 def radical_dimension(mod: JordanVermaModule, level: int) -> int:
     """Dimension of the right radical of the form at the given level."""
     mod.require_numeric("radical computation")
-    return len(shapovalov_matrix(mod, level).null_space())
+    # the kernel does not depend on the common scale of the int rows
+    rows, _ = _on_module(_gram_table(level), mod)
+    return len(ExactMatrix(rows).null_space())
 
 
 def singular_vectors(mod: JordanVermaModule, level: int) -> list:
@@ -529,11 +536,12 @@ def singular_vectors(mod: JordanVermaModule, level: int) -> list:
     if level < 1:
         raise DomainError("singular vectors live at positive levels")
     basis = level_basis(mod, level)
+    # the kernel does not depend on the common scale of each block of rows
     rows = [
         row
         for gen in (1, 2)
         if gen <= level
-        for row in _on_module(_lowering_table(level, gen), mod)
+        for row in _on_module(_lowering_table(level, gen), mod)[0]
     ]
     out = []
     for vec in ExactMatrix(rows).null_space():

@@ -13,7 +13,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 
 _RATIONAL_RE = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*([+-]?\d+)\s*)?$")
 
@@ -41,4 +41,10 @@ def parse_rational(text: str) -> Fraction:
 
 def render_rational(q: Fraction) -> str:
     # Fraction.__str__ is already the canonical form.
-    return str(q)
+    try:
+        return str(q)
+    except ValueError:
+        # CPython refuses to convert ints of more digits than its limit
+        raise DomainError(
+            f"a result of more than {sys.get_int_max_str_digits()} digits cannot be printed"
+        ) from None

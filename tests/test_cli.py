@@ -198,6 +198,19 @@ def test_euler_solve_oversized_literal_exits_one(capsys, monkeypatch, coeff):
     assert "Traceback" not in err
 
 
+def test_euler_solve_oversized_result_exits_one(capsys, monkeypatch):
+    # an accepted 4,001-digit exponent gives a result the interpreter will
+    # not convert to a string
+    doc = _euler_doc([(0, 2, "1"), (-2, 0, "1")], [("1" + "0" * 4000, 0, "1")])
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code, out, err = run(capsys, "euler-solve")
+    assert code == 1
+    assert out == ""
+    limit = sys.get_int_max_str_digits()
+    assert err == f"virlog: error: a result of more than {limit} digits cannot be printed\n"
+    assert "Traceback" not in err
+
+
 # -- wlog verbs -------------------------------------------------------------
 
 

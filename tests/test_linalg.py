@@ -2,21 +2,26 @@
 
 The determinant is cross-checked against independent cofactor expansion
 and, over Q[vars], against sparse Bareiss elimination on term dicts
-(tests/sparse_bareiss.py) on random small matrices; kernels are verified
-by multiplying back.
+(tests/sparse_bareiss.py) on random small matrices.  The modular rref is
+cross-checked against Gauss-Jordan over Fraction and fraction-free
+Gauss-Jordan in Z (tests/gauss_jordan.py), and kernels are verified by
+multiplying back.
 """
 
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from virlog import linalg
 from virlog.errors import DomainError, ShapeError
-from virlog.linalg import ExactMatrix
+from virlog.linalg import ExactMatrix, _prime, _reconstruct
 from virlog.polynomial import MultiPoly, coeff_to_json, sym
 
 from cofactor_determinant import determinant_cofactor
+from gauss_jordan import int_gauss_jordan
 from sparse_bareiss import sparse_bareiss
 
 fractions_s = st.fractions(min_value=-8, max_value=8, max_denominator=4)
@@ -312,6 +317,9 @@ def test_rref_matches_fraction_gauss_jordan(rows):
     assert pivots == want_pivots
     assert reduced.entries == want
     assert all(type(x) is Fraction for row in reduced.entries for x in row)
+    assert int_gauss_jordan([
+        [x.constant_value() if isinstance(x, MultiPoly) else x for x in row] for row in rows
+    ]) == (want, want_pivots)
 
 
 @given(rect_matrices())
@@ -337,3 +345,158 @@ def test_matrix_json_roundtrip(m):
 def test_matrix_json_roundtrip_symbolic():
     m = ExactMatrix([[sym("c") + 1, Fraction(1, 2)]])
     assert ExactMatrix.from_json(m.to_json()) == m
+
+
+# -- the modular kernel -------------------------------------------------------
+
+P0, P1 = _prime(0), _prime(1)
+
+
+def assert_rref(rows):
+    """rref() equals Gauss-Jordan over Fraction and in Z, in values, types
+    and pivots, and its kernel basis multiplies back to zero."""
+    m = ExactMatrix(rows)
+    reduced, pivots = m.rref()
+    want, want_pivots = rref_reference(rows)
+    assert (reduced.entries, pivots) == (want, want_pivots)
+    assert int_gauss_jordan(rows) == (want, want_pivots)
+    assert all(type(x) is Fraction for row in reduced.entries for x in row)
+    basis = m.null_space()
+    assert len(basis) == m.cols - len(pivots) == m.cols - m.rank()
+    for vec in basis:
+        assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
+    return pivots
+
+
+def as_fractions(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def test_first_primes_just_below_two_to_the_62():
+    assert [2**62 - _prime(k) for k in range(6)] == [57, 87, 117, 143, 153, 167]
+
+
+@pytest.mark.parametrize("rows, want_pivots", [
+    # column 0 vanishes mod P0 only: full rank over Q
+    ([[P0, 0], [0, 1]], [0, 1]),
+    ([[P0, 0], [0, P0]], [0, 1]),
+    # det = P0: rank 1 mod P0, 2 over Q
+    ([[1, 1], [1, 1 + P0]], [0, 1]),
+    # rank drops mod P0 and a kernel is left over Q: the profile of P1
+    # comes first in greedy order and replaces the one of P0
+    ([[1, 1, 1], [1, 1 + P0, 1]], [0, 1]),
+    ([[1, 1, 2, 3], [1, 1 + P0, 2, 5], [2, 2 + P0, 4, 8]], [0, 1]),
+    # every entry divisible by P0: rank 0 mod P0
+    ([[P0, 2 * P0, -3 * P0]], [0]),
+    ([[P0, 2 * P0], [3 * P0, 6 * P0]], [0]),
+    # the denominator P1 needs three primes of P0's profile, and P1 itself
+    # drops column 0, so its profile comes later in greedy order and is
+    # skipped
+    ([[P1, 0, 1], [0, 1, 1]], [0, 1]),
+    ([[P1, 0, 5, 7], [0, 1, 2, P1]], [0, 1]),
+])
+def test_rref_through_unlucky_primes(rows, want_pivots):
+    assert assert_rref(as_fractions(rows)) == want_pivots
+
+
+def test_rref_values_above_two_to_the_130():
+    big = [3**90 + 7, -(2**140) + 1, 5**61, 2**131 + 3, -(7**50)]
+    other = [11**40, 2**135 - 9, -(3**85), 13**37, 2**133]
+    combo = [Fraction(3**40, 2**45) * a - Fraction(5**30, 7) * b for a, b in zip(big, other)]
+    rows = [big, other, combo, [Fraction(a, 2**150 + 1) for a in big]]
+    assert assert_rref(rows) == [0, 1]
+    reduced, _ = ExactMatrix(rows).rref()
+    assert max(abs(x.numerator) for row in reduced.entries for x in row) > 2**130
+    assert max(x.denominator for row in reduced.entries for x in row) > 2**130
+
+
+@pytest.mark.parametrize("rows, want_pivots", [
+    # kernels of dimension 2 and 3
+    ([[1, 2, 3], [2, 4, 6]], [0]),
+    ([[1, 2, 3, 4], [2, 4, 6, 8], [-1, -2, -3, -4]], [0]),
+    ([[0, 1, 2, 0, 3], [0, 2, 4, 1, 7]], [1, 3]),
+    # wide
+    ([[1, 2, 3, 4, 5, 6]], [0]),
+    ([[0, 0, 0, 1, 2], [0, 1, 0, 0, 3]], [1, 3]),
+    # zero rows and zero columns
+    ([[0, 0, 0], [0, 0, 0]], []),
+    ([[0, 1, 0], [0, 0, 0], [0, 2, 0]], [1]),
+    ([[0, 0], [1, 0], [0, 0], [2, 0]], [0]),
+    ([[0]], []),
+    # full column rank, tall
+    ([[1, 0], [0, 0], [3, 4], [5, 6]], [0, 1]),
+])
+def test_rref_shapes(rows, want_pivots):
+    assert assert_rref(as_fractions(rows)) == want_pivots
+
+
+def test_rref_with_no_columns():
+    reduced, pivots = ExactMatrix([[], []]).rref()
+    assert (reduced.rows, reduced.cols, pivots) == (2, 0, [])
+    assert int_gauss_jordan([[], []]) == ([[], []], [])
+    assert ExactMatrix([[], []]).null_space() == []
+
+
+huge_fractions = st.builds(
+    Fraction,
+    st.integers(-(2**200), 2**200),
+    st.integers(1, 2**200),
+)
+
+
+@st.composite
+def huge_kernel_matrices(draw):
+    """Rows with numerators and denominators up to 2^200: a few drawn rows,
+    then small rational combinations of them, in drawn order."""
+    c = draw(st.integers(1, 5))
+    base = [[draw(huge_fractions) for _ in range(c)] for _ in range(draw(st.integers(1, 3)))]
+    zero_cols = draw(st.sets(st.integers(0, c - 1), max_size=c - 1))
+    base = [[Fraction(0) if j in zero_cols else x for j, x in enumerate(row)] for row in base]
+    rows = list(base)
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = [draw(small_fractions) for _ in base]
+        rows.append([sum(a * row[j] for a, row in zip(coeffs, base)) for j in range(c)])
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order]
+
+
+@given(huge_kernel_matrices())
+@settings(max_examples=60, deadline=None)
+def test_rref_huge_entries_match_gauss_jordan(rows):
+    assert_rref(rows)
+
+
+def _reconstruction_by_search(u, modulus):
+    """The fraction a/b = u mod modulus with |a|, b <= isqrt((modulus - 1) // 2)
+    and b prime to modulus, found by trying every b; None when there is none."""
+    bound = isqrt((modulus - 1) // 2)
+    found = set()
+    for b in range(1, bound + 1):
+        if gcd(b, modulus) == 1:
+            a = u * b % modulus
+            for a in (a, a - modulus):
+                if abs(a) <= bound:
+                    found.add(Fraction(a, b))
+    assert len(found) <= 1
+    return found.pop() if found else None
+
+
+@pytest.mark.parametrize("modulus", [*range(2, 80), 97 * 89, 2 * 3 * 5 * 7 * 11, 2**13])
+def test_reconstruct_matches_search(modulus):
+    for u in range(modulus):
+        assert _reconstruct(u, modulus) == _reconstruction_by_search(u, modulus), u
+
+
+def test_a_later_profile_is_skipped(monkeypatch):
+    # mod P1 column 0 vanishes; the lift keeps P0's profile, skips P1 and
+    # needs P0 and two more primes for the denominator P1 > 2^61.5
+    used = []
+
+    def recorded(k):
+        used.append(k)
+        return _prime(k)
+
+    monkeypatch.setattr(linalg, "_prime", recorded)
+    reduced, pivots = ExactMatrix(as_fractions([[P1, 0, 1], [0, 1, 1]])).rref()
+    assert (pivots, reduced.entries[0][2]) == ([0, 1], Fraction(1, P1))
+    assert used == [0, 1, 2, 3]
