@@ -2,9 +2,11 @@
 """Paired benchmark runs of a base commit against the working tree.
 
     python3 scripts/bench_pairs.py --out BENCH.json
+    python3 scripts/bench_pairs.py --out wlog.json --workload wlog-scan
 
-For every workload of BENCHMARK.json the script makes PAIRS pairs of runs
-of `python3 perfbench/run.py`: one on a checkout of the files of HEAD,
+For every workload of BENCHMARK.json, or only for those named by a
+repeated --workload, the script makes PAIRS pairs of runs of
+`python3 perfbench/run.py`: one on a checkout of the files of HEAD,
 extracted with `git archive` into a temporary directory that is removed
 afterwards, and one on the working tree.  Pair i runs both sides with seed
 FIRST_SEED + i, at the benchmark's run_seconds and untraced, and the side
@@ -103,8 +105,12 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
+    names = [w["name"] for w in bench["workloads"]]
     parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("--workload", action="append", choices=names,
+                        help="pair-run only this workload (repeatable; default: all)")
     args = parser.parse_args(argv)
+    workloads = [name for name in names if name in (args.workload or names)]
 
     seconds = bench["run_seconds"]
     base = git("rev-parse", "HEAD")
@@ -122,7 +128,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         extract(base, Path(tmp))
         trees = {"base": Path(tmp) / "tree", "change": ROOT}
-        for workload in (w["name"] for w in bench["workloads"]):
+        for workload in workloads:
             runs = []
             doc["workloads"][workload] = {"runs": runs}
             for i in range(PAIRS):

@@ -526,7 +526,7 @@ class UniPoly:
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = [
-            c if isinstance(c, MultiPoly) else Fraction(c) for c in cs
+            c if isinstance(c, (Fraction, MultiPoly)) else Fraction(c) for c in cs
         ]
 
     @classmethod

@@ -9,11 +9,17 @@ and C central.  A word is a tuple of mode indices read left to right as an
 operator product; the canonical (PBW) form has nondecreasing indices, so
 creation modes L(-n) sit leftmost.  Straightening rewrites any word into
 canonical form by repeated swaps; each swap either removes an inversion or
-shortens the word, so the rewriting terminates.  Results per word are cached
-since the structure constants do not depend on any module.
+shortens the word, so the rewriting terminates.  Two tables memoize this
+work, since the structure constants do not depend on any module:
+_STRAIGHTEN_MEMO maps a raw word to its canonical expansion, and
+_COMMUTATOR_MEMO maps a pair of canonical words (w1, w2) to the commutator
+[w1, w2] = straighten(w1 w2) - straighten(w2 w1), with the terms the two
+orders share already cancelled.
 
 An UEAElement keeps only canonical words (the constructor straightens), which
-makes multiplication automatically canonical.
+makes multiplication automatically canonical.  The bracket of two elements
+sums coefficient products over the commutator table, so [L(m), L(n)] costs
+one or two terms rather than two products and a subtraction.
 """
 
 from __future__ import annotations
@@ -75,6 +81,27 @@ def straighten_word(word: Word) -> dict:
     return result
 
 
+_COMMUTATOR_MEMO: dict = {}
+
+
+def _word_commutator(w1: Word, w2: Word) -> dict:
+    """[w1, w2] over canonical words: {(word, cpow): Fraction}.
+
+    The result is the memo's own dict; callers copy what they keep.  The
+    empty word (1, or a power of C) commutes with everything and gives {}.
+    """
+    key = (w1, w2)
+    cached = _COMMUTATOR_MEMO.get(key)
+    if cached is not None:
+        return cached
+    result = accumulate(
+        ((w, -q) for w, q in straighten_word(w2 + w1).items()),
+        dict(straighten_word(w1 + w2)),
+    )
+    _COMMUTATOR_MEMO[key] = result
+    return result
+
+
 def word_degree(word: Word) -> int:
     """L(0)-degree of the word: L(-n) raises by n."""
     return -sum(word)
@@ -123,7 +150,16 @@ class UEAElement(Combination):
         ))
 
     def bracket(self, other: "UEAElement") -> "UEAElement":
-        return self * other - other * self
+        """self * other - other * self, summed over the commutator table;
+        central powers add."""
+        pairs = []
+        for (w1, p1), c1 in self.terms.items():
+            for (w2, p2), c2 in other.terms.items():
+                table = _word_commutator(w1, w2)
+                if table:
+                    c = c1 * c2
+                    pairs.extend(((w, p1 + p2 + p), c * q) for (w, p), q in table.items())
+        return UEAElement._of(accumulate(pairs))
 
     def transpose(self) -> "UEAElement":
         """Anti-involution: L(n) -> L(-n), words reversed, C fixed."""

@@ -19,6 +19,10 @@ wlog_deviations collects those pairs.
 The central element b is one more basis vector: a WLogElement is a
 Combination over the keys (i, m) and CENTRAL, and wlog_bracket extends the
 generator bracket bilinearly over elements, with b bracketing to zero.
+Both the generator and the element bracket take their structure constants
+from one kernel, _bracket_terms, which gives m - n and j - i as ints and
+the cocycle value from _COCYCLE_MEMO, a table keyed by the generator pair
+and the cocycle function.  A cocycle that raises stores nothing there.
 
 The vacuum vector v_b is annihilated by every generator with mode m >= 0,
 generators with m < 0 create, and the central element acts by the symbol
@@ -250,25 +254,59 @@ def _cocycle_fn(mode: str):
         raise DomainError(f"unknown cocycle mode {mode!r}") from None
 
 
+_COCYCLE_MEMO: dict = {}
+_ZERO = Fraction(0)
+
+
+def _bracket_terms(a, b, fn) -> tuple:
+    """Structure constants of [t^(i)(m), t^(j)(n)] for generators a = (i, m)
+    and b = (j, n): (m - n, j - i, fn(a, b)), the coefficients of
+    t^(i+j)(m+n), t^(i+j-1)(m+n) and b.  The first two are ints."""
+    (i, m), (j, n) = a, b
+    # a flat key holds no reference to the callers' generator tuples
+    key = (i, m, j, n, fn)
+    central = _COCYCLE_MEMO.get(key)
+    if central is None:
+        # most values are zero; they share one object
+        central = _COCYCLE_MEMO[key] = fn(a, b) or _ZERO
+    return m - n, j - i, central
+
+
 def wlog_bracket(a, b, cocycle: str = "none") -> WLogElement:
     """Bracket of two generators (or elements, extended bilinearly)."""
     fn = _cocycle_fn(cocycle)
     if isinstance(a, WLogElement) or isinstance(b, WLogElement):
         a, b = _element_of(a), _element_of(b)
-        return WLogElement._of(accumulate(
-            (gen, c1 * c2 * q)
-            for g1, c1 in a.terms.items()
-            for g2, c2 in b.terms.items()
-            for gen, q in wlog_bracket(g1, g2, cocycle).terms.items()
-        ))
+        pairs = []
+        for g1, c1 in a.terms.items():
+            if g1 == CENTRAL:
+                continue
+            for g2, c2 in b.terms.items():
+                if g2 == CENTRAL:
+                    continue
+                (i, m), (j, n) = g1, g2
+                top, low, central = _bracket_terms(g1, g2, fn)
+                c = c1 * c2
+                if top:
+                    pairs.append(((i + j, m + n), c * top))
+                if low:
+                    pairs.append(((i + j - 1, m + n), c * low))
+                if central:
+                    pairs.append((CENTRAL, c * central))
+        return WLogElement._of(accumulate(pairs))
     a, b = _check_generator(a), _check_generator(b)
     if a == CENTRAL or b == CENTRAL:
         return WLogElement()
     (i, m), (j, n) = a, b
-    terms = {
-        (i + j, m + n): Fraction(m - n), (i + j - 1, m + n): Fraction(j - i), CENTRAL: fn(a, b),
-    }
-    return WLogElement._of({gen: q for gen, q in terms.items() if q})
+    top, low, central = _bracket_terms(a, b, fn)
+    terms = {}
+    if top:
+        terms[(i + j, m + n)] = Fraction(top)
+    if low:
+        terms[(i + j - 1, m + n)] = Fraction(low)
+    if central:
+        terms[CENTRAL] = central
+    return WLogElement._of(terms)
 
 
 def _element_of(x) -> WLogElement:

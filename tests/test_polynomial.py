@@ -371,6 +371,14 @@ def test_unipoly_symbolic_coefficients():
         rational_roots(p)
 
 
+def test_unipoly_converts_only_other_coefficients():
+    q, h = Fraction(3, 4), sym("h")
+    p = UniPoly("s", [2, q, h, "1/2"])
+    assert p.coeffs[1] is q and p.coeffs[2] is h
+    assert [type(c) for c in p.coeffs] == [Fraction, Fraction, MultiPoly, Fraction]
+    assert p.coeffs[0] == 2 and p.coeffs[3] == Fraction(1, 2)
+
+
 @given(unipolys())
 def test_unipoly_json_roundtrip(p):
     assert UniPoly.from_json(p.to_json()) == p
