@@ -1,0 +1,155 @@
+#!/usr/bin/env python3
+"""Byte-for-byte comparison of `virlog` output between a base commit and
+the working tree.
+
+    python3 scripts/cli_parity.py
+    python3 scripts/cli_parity.py --base HEAD~2
+
+The script builds one list of argvs from its sweeps, extracts the files of
+the base commit (default HEAD) with `git archive` into a temporary
+directory, and runs the whole list in-process, `virlog.cli.main(argv)`
+after `main(argv)`, in one subprocess per tree: the extracted one and the
+working tree, each with its own src/ on the path.  It compares each
+invocation's exit code, stdout and stderr, prints the first differences,
+and exits 1 if there is any, else 0.
+
+The sweeps:
+  - `fusion` on the c = 1 grid h1 = m^2/4, h2 = n^2/4, 1 <= n <= m <= 4;
+  - `fusion` on the Kac table c = 13 - 6(t + 1/t), h2 = h_{r,s} with
+    rs <= 6, fused with h1 = h_{1,2} and h_{2,1}, for the t of the
+    benchmark's numeric sweep;
+  - both with and without `--json`, and with and without `--level`;
+  - `determine-b` at h = 5/8, and at the degenerate weights 0 and 1;
+  - the `$ virlog ...` examples of README.md.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import difflib
+import io
+import json
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_pairs import ROOT, extract, git  # noqa: E402
+
+SHOWN = 5  # differences printed in full
+T_VALUES = tuple(Fraction(p, q) for p, q in
+                 [(1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (3, 2), (2, 3)])
+
+
+def _kac(t: Fraction, r: int, s: int):
+    """(c, h_{r,s}) on the Kac table with c = 13 - 6(t + 1/t)."""
+    c = 13 - 6 * (t + 1 / t)
+    h = Fraction(r * r - 1, 4) * t - Fraction(r * s - 1, 2) + Fraction(s * s - 1, 4) / t
+    return c, h
+
+
+def _fusion(c, h1, h2, level: int) -> list:
+    """The four variants of one fusion job: --json and --level on or off."""
+    argv = ["fusion", "--c", str(c), "--h1", str(h1), "--h2", str(h2)]
+    return [argv + extra + fmt
+            for extra in ([], ["--level", str(level)])
+            for fmt in ([], ["--json"])]
+
+
+def sweeps() -> list:
+    argvs = []
+    for m in range(1, 5):
+        for n in range(1, m + 1):
+            argvs += _fusion(1, Fraction(m * m, 4), Fraction(n * n, 4), n + 1)
+    labels = [(r, s) for r in range(1, 7) for s in range(1, 7) if r * s <= 6]
+    for t in T_VALUES:
+        for r, s in labels:
+            c, h2 = _kac(t, r, s)
+            for partner in ((1, 2), (2, 1)):
+                argvs += _fusion(c, _kac(t, *partner)[1], h2, r * s)
+    for h in ("5/8", "0", "1"):
+        argvs += [["determine-b", "--h", h], ["determine-b", "--h", h, "--json"]]
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith("$ virlog "):
+            argvs.append(shlex.split(line)[2:])
+    return argvs
+
+
+def worker() -> int:
+    """Read a JSON list of argvs on stdin; write [code, stdout, stderr] for
+    each on stdout.  An exception other than virlog's own errors is
+    recorded as its type and message with code None."""
+    from virlog.cli import main
+
+    results = []
+    for argv in json.load(sys.stdin):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except Exception as exc:  # noqa: BLE001  a crash is an output too
+                code = None
+                err.write(f"{type(exc).__name__}: {exc}\n")
+        results.append([code, out.getvalue(), err.getvalue()])
+    json.dump(results, sys.stdout)
+    return 0
+
+
+def run_tree(tree: Path, argvs: list) -> list:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--worker"],
+                          input=json.dumps(argvs), capture_output=True, text=True,
+                          cwd=tree, env=env)
+    if proc.returncode != 0:
+        raise SystemExit(f"worker on {tree} failed: {proc.stderr.strip()[-2000:]}")
+    return json.loads(proc.stdout)
+
+
+def _show(argv, base, change) -> None:
+    print("virlog " + shlex.join(argv))
+    for name, a, b in zip(("exit code", "stdout", "stderr"), base, change):
+        if a == b:
+            continue
+        if name == "exit code":
+            print(f"  exit code: {a} -> {b}")
+            continue
+        print(f"  {name}:")
+        lines = difflib.unified_diff(a.splitlines(), b.splitlines(), "base", "change",
+                                     lineterm="", n=1)
+        for i, line in enumerate(lines):
+            if i == 20:
+                print("    ...")
+                break
+            print("    " + line)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--base", default="HEAD", help="commit to compare against")
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        return worker()
+
+    argvs = sweeps()
+    base_rev = git("rev-parse", args.base)
+    with tempfile.TemporaryDirectory(prefix="parity-base-") as tmp:
+        extract(base_rev, Path(tmp))
+        base = run_tree(Path(tmp) / "tree", argvs)
+    change = run_tree(ROOT, argvs)
+    differ = [(a, b, c) for a, b, c in zip(argvs, base, change) if b != c]
+    for item in differ[:SHOWN]:
+        _show(*item)
+    print(f"{len(argvs)} invocations, {len(differ)} differ "
+          f"(base {base_rev[:12]}, working tree)")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

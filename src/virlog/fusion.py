@@ -8,6 +8,13 @@ singular vectors are homogeneous: every monomial has the same weight
 N = k + j, so the operator maps x^s to q(s) x^(s-N) with q the indicial
 polynomial.  Logarithmic terms appear exactly when the resonance exponent
 hits a multiple root of q.
+
+The indicial polynomial is multiplicative on homogeneous operators: if A
+sends x^s to a(s) x^(s-n) and B sends it to b(s) x^(s-m), then A B sends it
+to a(s - m) b(s) x^(s-n-m).  So fusion_indicial does not build the Euler
+operator of a singular vector: descent_indicial reads q from its words, as
+sums of products of linear factors in ints.  descent_operator and its
+indicial polynomial stay for determine_b and as the tests' reference.
 """
 
 from __future__ import annotations
@@ -196,6 +203,43 @@ def descent_operator(vec: ModuleVector, h1) -> EulerOperator:
     return acc
 
 
+def descent_indicial(vec: ModuleVector, h1, at=0) -> UniPoly:
+    """q(s + at), with q the indicial polynomial of descent_operator(vec, h1),
+    read from the words of vec without building the operator.
+
+    The factor of L(-p) sends x^s to -(s + (1-p) h1) x^(s-p), and the
+    largest part of a word acts first, so the word with parts
+    p_1 >= p_2 >= ... contributes its coefficient times the product of
+    -(s - t_i + (1-p_i) h1), t_i = p_1 + ... + p_(i-1).  With b the common
+    denominator of h1 and at, D that of the coefficients and N the level,
+    the sum is taken in ints times D b^N.  vec, h1 and at are rational.
+    """
+    if vec.is_zero():
+        raise DomainError("descent of the zero vector")
+    if any(top != 1 for (_lam, top) in vec.terms):
+        raise DomainError("descent needs a bottom-layer (ordinary) vector")
+    h1, at = as_fraction(h1), as_fraction(at)
+    level, coeffs = vec.level, [as_fraction(c) for c in vec.terms.values()]
+    b = math.lcm(h1.denominator, at.denominator)
+    bh, ba = h1.numerator * (b // h1.denominator), at.numerator * (b // at.denominator)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    total = [0] * (level + 1)
+    for (lam, _top), coeff in zip(vec.terms, coeffs):
+        word = [coeff.numerator * (den // coeff.denominator) * b ** (level - len(lam))]
+        shift = ba
+        for p in lam:
+            # times b, the factor is -b s + (p - 1) b h1 - b (at - t_i)
+            u = (p - 1) * bh - shift
+            word = [u * lo - b * hi for lo, hi in zip(word + [0], [0] + word)]
+            shift -= b * p
+        for k, c in enumerate(word):
+            total[k] += c
+    if not any(total):
+        raise DomainError("operator is zero or inhomogeneous; no indicial polynomial")
+    scale = den * b**level
+    return UniPoly("s", [Fraction(c, scale) for c in total])
+
+
 # -- indicial and fusion polynomials ----------------------------------------
 
 
@@ -222,15 +266,14 @@ class IndicialData:
         }
 
 
-def indicial_data(op: EulerOperator, h1, h2) -> IndicialData:
+def indicial_data(vec: ModuleVector, h1, h2) -> IndicialData:
+    """The indicial data of a singular vector of M(c, h2) fused with weight
+    h1: q(s), and the fusion polynomial q(h3 - h1 - h2) with its roots."""
     h1, h2 = as_fraction(h1), as_fraction(h2)
-    level = op.require_homogeneous()
-    q = op.indicial()
-    if not q.all_rational():
-        raise DomainError("indicial polynomial must have rational coefficients")
-    fus = q.shift(-(h1 + h2)).rename("h3")
+    q = descent_indicial(vec, h1)
+    fus = descent_indicial(vec, h1, -(h1 + h2)).rename("h3")
     roots, residual = rational_roots(fus)
-    return IndicialData(level, q, fus, roots, residual)
+    return IndicialData(vec.level, q, fus, roots, residual)
 
 
 def fusion_indicial(c, h1, h2, level=None, max_level: int = 8) -> IndicialData:
@@ -252,8 +295,7 @@ def fusion_indicial(c, h1, h2, level=None, max_level: int = 8) -> IndicialData:
             raise DomainError(
                 f"no singular vector in {mod.describe()} up to level {max_level}"
             )
-    op = descent_operator(found[0], h1)
-    return indicial_data(op, h1, h2)
+    return indicial_data(found[0], h1, h2)
 
 
 # -- logarithmic series and the resonance solve -----------------------------

@@ -177,7 +177,10 @@ def squarefree_rational_roots(chain: list) -> list:
     Sturm's theorem counts the distinct real roots in (lo, hi] as the drop
     in sign changes of the chain from lo to hi.  Bisect (-2^E, 2^E] at
     dyadic points until each interval holds one root, then refine that
-    interval.
+    interval.  Each rational root found is divided out of g, so later
+    refinements run on a smaller g with a smaller leading coefficient;
+    the chain stays that of the original g, and an interval holding one
+    root of that g not yet found holds exactly that root of the quotient.
     """
     g = chain[0]
     bound = 1 << _root_bound_exponent(g)
@@ -189,6 +192,7 @@ def squarefree_rational_roots(chain: list) -> list:
             root = _refine(g, lo, hi, den)
             if root is not None:
                 found.append(root)
+                g = content_free(divexact_int(g, [-root.numerator, root.denominator]))
         elif v_lo > v_hi:
             mid, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
             v_mid = _variations(chain, mid, den)

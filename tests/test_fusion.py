@@ -2,15 +2,18 @@
 
 The three checked families (central charge 1, -2, 0) each pin the full
 pipeline: singular vector, Euler operator, indicial polynomial, fusion
-polynomial, root structure.  The resonance solver is verified by applying
+polynomial, root structure.  The indicial polynomial that fusion_indicial
+reads from the words of a singular vector is checked against the one of
+its composed Euler operator.  The resonance solver is verified by applying
 the operator back to its output.
 """
 
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from virlog.errors import DomainError
@@ -19,6 +22,7 @@ from virlog.fusion import (
     IndicialData,
     LogSeries,
     descent_factor,
+    descent_indicial,
     descent_operator,
     determine_b,
     fixture_polynomial,
@@ -26,7 +30,7 @@ from virlog.fusion import (
     ope_level2_coefficient,
     solve_euler,
 )
-from virlog.modules import JordanVermaModule, singular_vectors
+from virlog.modules import JordanVermaModule, ModuleVector, singular_vectors
 from virlog.polynomial import UniPoly, rational_roots, sym
 
 
@@ -220,6 +224,99 @@ def test_descent_needs_bottom_layer():
     mixed = next(v for v in vecs if any(top == 2 for (_l, top) in v.terms))
     with pytest.raises(DomainError):
         descent_operator(mixed, Fraction(1))
+
+
+# -- indicial polynomials from words against the operator route -------------
+
+
+T_VALUES = tuple(Fraction(p, q) for p, q in
+                 [(1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (3, 2), (2, 3), (3, 4)])
+
+
+def _kac(t, r, s):
+    """(c, h_{r,s}) on the Kac table with c = 13 - 6(t + 1/t)."""
+    c = 13 - 6 * (t + 1 / t)
+    h = Fraction(r * r - 1, 4) * t - Fraction(r * s - 1, 2) + Fraction(s * s - 1, 4) / t
+    return c, h
+
+
+@cache
+def _kac_singular_vectors():
+    """(h2, v) for the bottom-layer singular vectors v of M(c, h_{r,s}) at
+    level rs <= 7, in Jordan blocks of size 1 and 2."""
+    out = []
+    for t in T_VALUES:
+        for r in range(1, 8):
+            for s in range(1, 7 // r + 1):
+                c, h2 = _kac(t, r, s)
+                for jordan in (1, 2):
+                    out.extend(
+                        (h2, v)
+                        for v in singular_vectors(JordanVermaModule(c, h2, jordan), r * s)
+                        if all(top == 1 for _lam, top in v.terms)
+                    )
+    return out
+
+
+def _outcome(route, *args):
+    """What route returns, or the message of the DomainError it raises."""
+    try:
+        return route(*args)
+    except DomainError as exc:
+        return str(exc)
+
+
+def _indicial_by_operator(vec, h1, at=Fraction(0)):
+    """q(s + at) from the composed Euler operator of vec."""
+    return descent_operator(vec, h1).indicial().shift(at)
+
+
+big_rationals = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_descent_indicial_matches_the_operator_route(data):
+    h2, vec = data.draw(st.sampled_from(_kac_singular_vectors()))
+    h1 = data.draw(st.one_of(st.just(Fraction(0)), st.just(h2), big_rationals))
+    at = data.draw(st.one_of(st.just(Fraction(0)), st.just(-(h1 + h2)), big_rationals))
+    got = _outcome(descent_indicial, vec, h1, at)
+    assert got == _outcome(_indicial_by_operator, vec, h1, at)
+    # each drawn vector has an L(-1)^N term, so q has degree N and no draw raises
+    assert isinstance(got, UniPoly)
+
+
+def test_descent_indicial_raises_what_the_operator_route_raises():
+    mod = JordanVermaModule(Fraction(1), Fraction(1), 2)
+    upper = next(v for v in singular_vectors(mod, 3) if any(top == 2 for _l, top in v.terms))
+    # the three words give (s - 4)(h1 - h1^2) together, zero at h1 = 1
+    words = {((2, 2, 1), 1): Fraction(1), ((3, 1, 1), 1): Fraction(-1), ((4, 1), 1): Fraction(1)}
+    cancelling = ModuleVector(mod, 5, words)
+    for vec, message in [
+        (ModuleVector(mod, 3, {}), "descent of the zero vector"),
+        (upper, "descent needs a bottom-layer (ordinary) vector"),
+        (cancelling, "operator is zero or inhomogeneous; no indicial polynomial"),
+    ]:
+        assert _outcome(descent_indicial, vec, Fraction(1)) == message
+        assert _outcome(_indicial_by_operator, vec, Fraction(1)) == message
+    assert descent_indicial(cancelling, Fraction(2)) == UniPoly("s", (8, -2))
+    assert _indicial_by_operator(cancelling, Fraction(2)) == UniPoly("s", (8, -2))
+
+
+def _indicial_data_by_operator(c, h1, h2) -> IndicialData:
+    """fusion_indicial with the indicial polynomial of the composed operator."""
+    mod = JordanVermaModule(c, h2)
+    vec = next(found for level in range(1, 9) if (found := singular_vectors(mod, level)))[0]
+    op = descent_operator(vec, h1)
+    q = op.indicial()
+    fus = q.shift(-(h1 + h2)).rename("h3")
+    return IndicialData(op.require_homogeneous(), q, fus, *rational_roots(fus))
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(1, 5) for n in range(1, m + 1)])
+def test_fusion_json_on_the_c1_grid_matches_the_operator_route(m, n):
+    args = Fraction(1), Fraction(m * m, 4), Fraction(n * n, 4)
+    assert fusion_indicial(*args).to_json() == _indicial_data_by_operator(*args).to_json()
 
 
 # -- resonance solving ------------------------------------------------------

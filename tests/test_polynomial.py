@@ -363,6 +363,56 @@ def test_rational_roots_with_huge_coefficients(factors, rootless):
     assert residual == rootless.monic()
 
 
+@st.composite
+def close_rooted_unipolys(draw):
+    """8 to 12 distinct roots k / d with one shared denominator d and small
+    numerators k, one of them doubled, times a rootless factor: each
+    rational root found deflates g before the next one is refined."""
+    x = UniPoly.x("s")
+    d = draw(st.integers(5, 7))
+    numerators = draw(st.lists(st.integers(-7, 7).filter(bool), min_size=8, max_size=12,
+                               unique=True))
+    p = draw(st.sampled_from(ROOTLESS)) * (x - Fraction(numerators[0], d))
+    for k in numerators:
+        p = p * (x - Fraction(k, d))
+    return p
+
+
+# the oracle enumerates the divisors of up to d^13 and of the numerators'
+# product by trial division, which bounds d and the numerators
+@settings(max_examples=25, deadline=None)
+@given(close_rooted_unipolys())
+def test_rational_roots_of_close_roots_match_divisor_enumeration(p):
+    roots, residual = rational_roots(p)
+    want_roots, want_residual = rational_roots_by_divisors(p)
+    assert roots == want_roots
+    assert residual.coeffs == want_residual.coeffs
+
+
+@pytest.mark.parametrize("p", [
+    UniPoly("s", (-1, 3)) * UniPoly("s", (2, 5)),
+    UniPoly("s", (-1, 3)) ** 2 * UniPoly("s", (2, 5)) ** 3 * UniPoly("s", (7, 0, 1)),
+    UniPoly("s", (-10**6, 1001)) * UniPoly("s", (-(10**6 + 1), 1001)),
+])
+def test_rational_roots_when_the_deflated_g_is_linear(p):
+    # after the first root is divided out, the second is refined on a linear g
+    roots, residual = rational_roots(p)
+    want_roots, want_residual = rational_roots_by_divisors(p)
+    assert roots == want_roots
+    assert residual.coeffs == want_residual.coeffs
+
+
+def test_rational_roots_of_many_close_roots_with_a_large_denominator():
+    x, d = UniPoly.x("s"), 10**6 + 1
+    want = [Fraction(10**12 + k, d) for k in range(12)]
+    p = UniPoly("s", (-2, 0, 1))
+    for r in want:
+        p = p * (x - r)
+    roots, residual = rational_roots(p)
+    assert roots == [(r, 1) for r in want]
+    assert residual == UniPoly("s", (-2, 0, 1))
+
+
 def test_unipoly_symbolic_coefficients():
     h = sym("h")
     p = UniPoly("s", [h * 2, Fraction(1)])
