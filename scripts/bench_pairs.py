@@ -15,9 +15,14 @@ perfbench/; it changes nothing there.
 
 The output JSON holds every run (metrics, attempted, failed), and for each
 end-to-end metric the median and quartiles of each side, the number of
-pairs the working tree won (ties count for neither side), and the ratio
-of the medians.  It is rewritten after every run, so an interrupted
-session keeps what it measured.
+pairs the working tree won (ties count for neither side), the ratio of
+the medians, and past_bound: whether the working tree's median is worse
+than the base's by more than the metric's BENCHMARK.json bound, read as a
+fraction of the base's median.  It is rewritten after every run, so an
+interrupted run keeps what it measured.  At the end of each workload
+one line per end-to-end metric goes to stderr with the median ratio, the
+wins and, when past_bound holds, PAST BOUND.  The exit code does not
+depend on it.
 """
 
 from __future__ import annotations
@@ -88,6 +93,7 @@ def summarize(runs: list, spec: list) -> dict:
             for b, c in zip(sides["base"]["values"], sides["change"]["values"])
         )
         base_med, change_med = sides["base"]["median"], sides["change"]["median"]
+        worse = change_med - base_med if lower else base_med - change_med
         out[name] = {
             "better": metric["better"],
             "bound": metric["bound"],
@@ -97,8 +103,18 @@ def summarize(runs: list, spec: list) -> dict:
             "change_wins": wins,
             "median_ratio": change_med / base_med if base_med else None,
             "median_gap_exceeds_base_iqr": abs(change_med - base_med) > sides["base"]["iqr"],
+            "past_bound": worse > metric["bound"] * abs(base_med),
         }
     return out
+
+
+def report(workload: str, summary: dict) -> None:
+    """One stderr line per end-to-end metric of a finished workload."""
+    for name, s in summary.items():
+        ratio = "n/a" if s["median_ratio"] is None else f"{s['median_ratio']:.3f}"
+        flag = f"  PAST BOUND ({s['bound']})" if s["past_bound"] else ""
+        print(f"{workload} {name}: median ratio {ratio}, change wins "
+              f"{s['change_wins']}/{s['pairs']}{flag}", file=sys.stderr, flush=True)
 
 
 def main(argv=None) -> int:
@@ -147,6 +163,7 @@ def main(argv=None) -> int:
                 }
                 doc["workloads"][workload]["summary"] = summarize(runs, bench["end_to_end"])
                 args.out.write_text(json.dumps(doc, indent=1) + "\n")
+            report(workload, doc["workloads"][workload]["summary"])
     return 0
 
 

@@ -20,6 +20,10 @@ The sweeps:
     benchmark's numeric sweep;
   - both with and without `--json`, and with and without `--level`;
   - `determine-b` at h = 5/8, and at the degenerate weights 0 and 1;
+  - in every `--cocycle` mode, with and without `--json`: `wlog bracket`
+    and `wlog cocycle` on every pair of generators i:m with |i|, |m| <= 3,
+    `wlog jacobi` at `--level` 1 and 2, and `wlog vev` on the words of the
+    `$ virlog wlog vev ...` examples of README.md;
   - the `$ virlog ...` examples of README.md.
 """
 
@@ -44,6 +48,8 @@ from bench_pairs import ROOT, extract, git  # noqa: E402
 SHOWN = 5  # differences printed in full
 T_VALUES = tuple(Fraction(p, q) for p, q in
                  [(1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (3, 2), (2, 3)])
+COCYCLES = ("none", "closed", "residue")
+WLOG_BOUND = 3
 
 
 def _kac(t: Fraction, r: int, s: int):
@@ -61,6 +67,22 @@ def _fusion(c, h1, h2, level: int) -> list:
             for fmt in ([], ["--json"])]
 
 
+def _wlog(readme: list) -> list:
+    """The wlog verbs, in every cocycle mode, with and without --json."""
+    gens = [f"{i}:{m}" for i in range(-WLOG_BOUND, WLOG_BOUND + 1)
+            for m in range(-WLOG_BOUND, WLOG_BOUND + 1)]
+    words = [argv[2:] for argv in readme if argv[:2] == ["wlog", "vev"]]
+    argvs = []
+    for mode in COCYCLES:
+        for fmt in ([], ["--json"]):
+            opts = ["--cocycle", mode] + fmt
+            for verb in ("bracket", "cocycle"):
+                argvs += [["wlog", verb, a, b] + opts for a in gens for b in gens]
+            argvs += [["wlog", "jacobi", "--level", str(level)] + opts for level in (1, 2)]
+            argvs += [["wlog", "vev", *word] + opts for word in words]
+    return argvs
+
+
 def sweeps() -> list:
     argvs = []
     for m in range(1, 5):
@@ -74,10 +96,9 @@ def sweeps() -> list:
                 argvs += _fusion(c, _kac(t, *partner)[1], h2, r * s)
     for h in ("5/8", "0", "1"):
         argvs += [["determine-b", "--h", h], ["determine-b", "--h", h, "--json"]]
-    for line in (ROOT / "README.md").read_text().splitlines():
-        if line.startswith("$ virlog "):
-            argvs.append(shlex.split(line)[2:])
-    return argvs
+    readme = [shlex.split(line)[2:] for line in (ROOT / "README.md").read_text().splitlines()
+              if line.startswith("$ virlog ")]
+    return argvs + _wlog(readme) + readme
 
 
 def worker() -> int:

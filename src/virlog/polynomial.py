@@ -26,7 +26,10 @@ negation, scale, ==) of the combinations that have no extra fields:
 LaurentField, EulerOperator, LogSeries, UEAElement and WLogElement (whose
 central coefficient is one more basis key).  Their results, and their own
 products, are built with Combination._of from terms accumulate has cleaned,
-without a second pass through the checking __init__.
+without a second pass through the checking __init__.  A sum whose
+coefficients are mostly integral can run in ints: as_int turns each
+integral Fraction into an int, and rational_terms turns the ints of the
+result back into Fractions, so no int is left in a Coeff.
 
 The ring operations of MultiPoly work on bare term dicts through
 accumulate, mul_terms and divexact_terms.  linalg does no polynomial
@@ -381,6 +384,23 @@ def accumulate(pairs, out: dict | None = None) -> dict:
         if key in out and not out[key]:
             del out[key]
     return out
+
+
+def as_int(c):
+    """An integral Fraction as its numerator, so that products and sums
+    with it run in ints; anything else as it is."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def rational_terms(terms: dict) -> dict:
+    """Turn every int value of terms back into a Fraction, in place, and
+    return terms: the last step of a sum run through as_int."""
+    for key, c in terms.items():
+        if type(c) is int:
+            terms[key] = Fraction(c)
+    return terms
 
 
 class Combination:

@@ -20,6 +20,13 @@ An UEAElement keeps only canonical words (the constructor straightens), which
 makes multiplication automatically canonical.  The bracket of two elements
 sums coefficient products over the commutator table, so [L(m), L(n)] costs
 one or two terms rather than two products and a subtraction.
+
+The bracket's coefficients run as ints where they are integral and come
+back as Fractions: _COMMUTATOR_MEMO stores integral values as ints (all but
+some central values (m^3 - m)/12), the bracket turns its integral
+coefficients into ints (polynomial.as_int), and the ints of the result
+become Fractions again (polynomial.rational_terms).  _STRAIGHTEN_MEMO keeps
+Fractions, and no element holds an int.
 """
 
 from __future__ import annotations
@@ -32,8 +39,10 @@ from .errors import ParseError
 from .polynomial import (
     Combination,
     accumulate,
+    as_int,
     coeff_from_json,
     coeff_to_json,
+    rational_terms,
     render_terms,
 )
 
@@ -85,7 +94,8 @@ _COMMUTATOR_MEMO: dict = {}
 
 
 def _word_commutator(w1: Word, w2: Word) -> dict:
-    """[w1, w2] over canonical words: {(word, cpow): Fraction}.
+    """[w1, w2] over canonical words: {(word, cpow): coefficient}, where an
+    integral coefficient is stored as an int and any other as a Fraction.
 
     The result is the memo's own dict; callers copy what they keep.  The
     empty word (1, or a power of C) commutes with everything and gives {}.
@@ -98,6 +108,8 @@ def _word_commutator(w1: Word, w2: Word) -> dict:
         ((w, -q) for w, q in straighten_word(w2 + w1).items()),
         dict(straighten_word(w1 + w2)),
     )
+    for w, q in result.items():
+        result[w] = as_int(q)
     _COMMUTATOR_MEMO[key] = result
     return result
 
@@ -151,15 +163,18 @@ class UEAElement(Combination):
 
     def bracket(self, other: "UEAElement") -> "UEAElement":
         """self * other - other * self, summed over the commutator table;
-        central powers add."""
+        central powers add.  Integral coefficients multiply and add as
+        ints, and come back as Fractions at the end."""
+        right = [(w2, p2, as_int(c2)) for (w2, p2), c2 in other.terms.items()]
         pairs = []
         for (w1, p1), c1 in self.terms.items():
-            for (w2, p2), c2 in other.terms.items():
+            c1 = as_int(c1)
+            for w2, p2, c2 in right:
                 table = _word_commutator(w1, w2)
                 if table:
                     c = c1 * c2
                     pairs.extend(((w, p1 + p2 + p), c * q) for (w, p), q in table.items())
-        return UEAElement._of(accumulate(pairs))
+        return UEAElement._of(rational_terms(accumulate(pairs)))
 
     def transpose(self) -> "UEAElement":
         """Anti-involution: L(n) -> L(-n), words reversed, C fixed."""

@@ -23,6 +23,11 @@ Both the generator and the element bracket take their structure constants
 from one kernel, _bracket_terms, which gives m - n and j - i as ints and
 the cocycle value from _COCYCLE_MEMO, a table keyed by the generator pair
 and the cocycle function.  A cocycle that raises stores nothing there.
+Coefficients run as ints where they are integral and come back as
+Fractions: the element bracket multiplies and sums them through
+polynomial.as_int and polynomial.rational_terms, both cocycles are summed
+in ints over one common denominator, and check_jacobi sums each cyclic
+triple straight from _bracket_terms without building elements.
 
 The vacuum vector v_b is annihilated by every generator with mode m >= 0,
 generators with m < 0 create, and the central element acts by the symbol
@@ -41,8 +46,10 @@ from .polynomial import (
     Coeff,
     Combination,
     accumulate,
+    as_int,
     coeff_from_json,
     coeff_to_json,
+    rational_terms,
     render_terms,
     sym,
 )
@@ -134,6 +141,11 @@ def cocycle_closed_form(a, b) -> Fraction:
     The formula parametrizes generators as t^(1-i)(-m) with i, j >= 0, so
     it only covers log indices <= 1; outside that it has no unambiguous
     meaning and we refuse (use the residue cocycle there).
+
+    In the parameters i, j >= 0 it is the sum over r = 0..i+j of
+    m^r n^(i+j-r) ((i-r)^3 - (i-r)) / (12 (i+j-r)! r!).  The terms are
+    summed in ints over the common denominator 12 (i+j)!, term r carrying
+    the binomial C(i+j, r), and one Fraction is built at the end.
     """
     a, b = _check_generator(a), _check_generator(b)
     if a == CENTRAL or b == CENTRAL:
@@ -143,15 +155,13 @@ def cocycle_closed_form(a, b) -> Fraction:
     j, n = 1 - a2, -p2
     if i < 0 or j < 0:
         raise DomainError("log index above 1: use residue cocycle")
-    total = Fraction(0)
-    for r in range(i + j + 1):
+    top = i + j
+    num = 0
+    for r in range(top + 1):
         kernel = (i - r) ** 3 - (i - r)
-        if kernel == 0:
-            continue
-        total += Fraction(m**r * n ** (i + j - r) * kernel) / (
-            12 * math.factorial(i + j - r) * math.factorial(r)
-        )
-    return total
+        if kernel:
+            num += math.comb(top, r) * m**r * n ** (top - r) * kernel
+    return Fraction(num, 12 * math.factorial(top))
 
 
 class LaurentField(Combination):
@@ -277,14 +287,15 @@ def wlog_bracket(a, b, cocycle: str = "none") -> WLogElement:
     fn = _cocycle_fn(cocycle)
     if isinstance(a, WLogElement) or isinstance(b, WLogElement):
         a, b = _element_of(a), _element_of(b)
+        right = [(g2, as_int(c2)) for g2, c2 in b.terms.items() if g2 != CENTRAL]
         pairs = []
         for g1, c1 in a.terms.items():
             if g1 == CENTRAL:
                 continue
-            for g2, c2 in b.terms.items():
-                if g2 == CENTRAL:
-                    continue
-                (i, m), (j, n) = g1, g2
+            c1 = as_int(c1)
+            i, m = g1
+            for g2, c2 in right:
+                j, n = g2
                 top, low, central = _bracket_terms(g1, g2, fn)
                 c = c1 * c2
                 if top:
@@ -293,7 +304,7 @@ def wlog_bracket(a, b, cocycle: str = "none") -> WLogElement:
                     pairs.append(((i + j - 1, m + n), c * low))
                 if central:
                     pairs.append((CENTRAL, c * central))
-        return WLogElement._of(accumulate(pairs))
+        return WLogElement._of(rational_terms(accumulate(pairs)))
     a, b = _check_generator(a), _check_generator(b)
     if a == CENTRAL or b == CENTRAL:
         return WLogElement()
@@ -352,6 +363,7 @@ def check_jacobi(bound: int, cocycle: str = "none") -> dict:
     Pairs outside the closed form's domain are skipped and counted."""
     if bound < 1:
         raise DomainError("jacobi scan needs bound >= 1")
+    fn = _cocycle_fn(cocycle)
     gens = [
         (i, m)
         for i in range(-bound, bound + 1)
@@ -361,16 +373,12 @@ def check_jacobi(bound: int, cocycle: str = "none") -> dict:
     violations = []
     for x, y, z in combinations_with_replacement(gens, 3):
         try:
-            total = (
-                wlog_bracket(wlog_bracket(x, y, cocycle), z, cocycle)
-                + wlog_bracket(wlog_bracket(y, z, cocycle), x, cocycle)
-                + wlog_bracket(wlog_bracket(z, x, cocycle), y, cocycle)
-            )
+            nonzero = _jacobi_sum_nonzero(x, y, z, fn)
         except DomainError:
             skipped += 1
             continue
         checked += 1
-        if not total.is_zero():
+        if nonzero:
             violations.append([list(x), list(y), list(z)])
     return {
         "bound": bound,
@@ -379,6 +387,39 @@ def check_jacobi(bound: int, cocycle: str = "none") -> dict:
         "skipped": skipped,
         "violations": violations,
     }
+
+
+def _jacobi_sum_nonzero(x, y, z, fn) -> bool:
+    """Whether [[x,y],z] + [[y,z],x] + [[z,x],y] is nonzero, for generators
+    x, y, z, summed straight from _bracket_terms.
+
+    [x, y] is top t^(i+j)(m+n) + low t^(i+j-1)(m+n) + central b, and b
+    brackets to zero, so the outer bracket is top [t^(i+j)(m+n), z] +
+    low [t^(i+j-1)(m+n), z], each taken only when its multiplier is nonzero:
+    the calls, and the order, of wlog_bracket on the same triple.  The
+    generator part is summed in ints.  The central part, a sum of int
+    multiples of cocycle values, is summed as one numerator over the
+    product of their denominators."""
+    gens: dict = {}
+    get = gens.get
+    num, den = 0, 1
+    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+        (i, m), (j, n) = a, b
+        p, q = c
+        top, low, _ = _bracket_terms(a, b, fn)
+        for k, g in ((top, (i + j, m + n)), (low, (i + j - 1, m + n))):
+            if not k:
+                continue
+            top2, low2, central = _bracket_terms(g, c, fn)
+            r, s = g[0] + p, g[1] + q
+            if top2:
+                gens[(r, s)] = get((r, s), 0) + k * top2
+            if low2:
+                gens[(r - 1, s)] = get((r - 1, s), 0) + k * low2
+            if central:
+                num = num * central.denominator + k * central.numerator * den
+                den *= central.denominator
+    return num != 0 or any(gens.values())
 
 
 def wlog_deviations(bound: int = 3) -> list:

@@ -5,9 +5,17 @@ over one generator kernel with a cocycle memo.  These tests hold both to
 the routes in tests/bracket_oracles.py on random elements, check that the
 cocycle memo keys on the cocycle and never stores a failure, and check
 that no memo table is handed out as the terms of a result.
+
+Both brackets sum integral coefficients as ints.  An int that leaked into
+a result would compare and print like the Fraction it stands for, so the
+comparisons also check the type of every coefficient.  The last test holds
+the memos to their entry counts after the benchmark's Jacobi triples: the
+int cores add no table and no entry.
 """
 
+import functools
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +23,7 @@ from hypothesis import strategies as st
 
 from virlog import virasoro, wlog
 from virlog.errors import DomainError
-from virlog.polynomial import sym
+from virlog.polynomial import MultiPoly, sym
 from virlog.virasoro import UEAElement
 from virlog.wlog import WLogElement, wlog_bracket
 
@@ -57,6 +65,9 @@ def uea_elements(draw):
 def _assert_same(got, want):
     assert got == want
     assert got.render() == want.render()
+    # an int left in got would pass both checks above
+    for key, c in got.terms.items():
+        assert type(c) in (Fraction, MultiPoly), (key, c, type(c))
 
 
 @given(uea_elements(), uea_elements())
@@ -175,3 +186,49 @@ def test_results_do_not_share_memo_tables():
         wlog_bracket(g, h, mode).terms.clear()
         wlog_bracket(x, y, mode).terms.clear()
         assert (wlog_bracket(g, h, mode), wlog_bracket(x, y, mode)) == want
+
+
+def _module_tables(module):
+    """Names of the module-level dicts, lists, sets and lru caches."""
+    return {
+        name
+        for name, value in vars(module).items()
+        if not name.startswith("__")
+        and isinstance(value, (dict, list, set, functools._lru_cache_wrapper))
+    }
+
+
+def test_memos_keep_their_sizes_after_the_benchmark_jacobi_triples(monkeypatch):
+    for module, memo in [
+        (wlog, "_COCYCLE_MEMO"),
+        (virasoro, "_COMMUTATOR_MEMO"),
+        (virasoro, "_STRAIGHTEN_MEMO"),
+    ]:
+        monkeypatch.setattr(module, memo, {})
+    # the wlog-scan workload's Jacobi jobs: wlog generators with |i|, |m| <= 2
+    # under the residue cocycle, and Virasoro generators of modes -6..6
+    gens = [(i, m) for i in range(-2, 3) for m in range(-2, 3)]
+    for x, y, z in combinations_with_replacement(gens, 3):
+        ex, ey, ez = (WLogElement.generator(*g) for g in (x, y, z))
+        total = (
+            wlog_bracket(wlog_bracket(x, y, "residue"), ez, "residue")
+            + wlog_bracket(wlog_bracket(y, z, "residue"), ex, "residue")
+            + wlog_bracket(wlog_bracket(z, x, "residue"), ey, "residue")
+        )
+        assert total.is_zero()
+    L = [UEAElement.generator(m) for m in range(-6, 7)]
+    for a in L:
+        for b in L:
+            for c in L:
+                total = a.bracket(b).bracket(c) + b.bracket(c).bracket(a) + c.bracket(a).bracket(b)
+                assert total.is_zero()
+
+    assert len(wlog._COCYCLE_MEMO) == 1925
+    assert len(virasoro._COMMUTATOR_MEMO) == 312
+    assert len(virasoro._STRAIGHTEN_MEMO) == 465
+    assert all(type(v) is Fraction for v in wlog._COCYCLE_MEMO.values())
+    assert all(
+        type(q) is Fraction for table in virasoro._STRAIGHTEN_MEMO.values() for q in table.values()
+    )
+    assert _module_tables(wlog) == {"_COCYCLES", "_COCYCLE_MEMO"}
+    assert _module_tables(virasoro) == {"_STRAIGHTEN_MEMO", "_COMMUTATOR_MEMO"}

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from virlog import wlog
 from virlog.errors import DomainError
 from virlog.polynomial import sym
 from virlog.wlog import (
@@ -23,6 +24,8 @@ from virlog.wlog import (
     wlog_deviations,
     wlog_pairing,
 )
+
+from bracket_oracles import closed_form_by_fractions, jacobi_by_elements
 
 B = sym("b")
 
@@ -110,6 +113,24 @@ def test_closed_form_horizontal_vanishes():
     for m in range(-5, 6):
         for n in range(-5, 6):
             assert cocycle_closed_form((0, m), (0, n)) == 0
+
+
+def _value_or_error(fn, a, b):
+    try:
+        return fn(a, b)
+    except DomainError as exc:
+        return ("DomainError", str(exc))
+
+
+def test_closed_form_matches_fraction_sum():
+    # the int sum over 12 (i+j)! against the term-by-term Fraction sum,
+    # the refusals outside the domain included
+    gens = [(i, m) for i in range(-6, 7) for m in range(-6, 7)]
+    for a in gens:
+        for b in gens:
+            got = _value_or_error(cocycle_closed_form, a, b)
+            assert got == _value_or_error(closed_form_by_fractions, a, b), (a, b)
+            assert type(got) in (F, tuple)
 
 
 def test_closed_form_domain_guard():
@@ -216,6 +237,44 @@ def test_jacobi_scan_bound_two_all_modes():
     # closed mode must skip the pairs outside its domain, not fail on them
     assert check_jacobi(2, "closed")["skipped"] > 0
     assert check_jacobi(2, "residue")["skipped"] == 0
+
+
+@pytest.mark.parametrize(
+    "bound, mode",
+    [(b, mode) for b in (1, 2) for mode in ("none", "closed", "residue")] + [(3, "residue")],
+)
+def test_jacobi_scan_matches_element_sums(bound, mode):
+    assert check_jacobi(bound, mode) == jacobi_by_elements(bound, mode)
+
+
+def test_jacobi_scan_reports_what_the_element_sums_report(monkeypatch):
+    # a central term that is not a cocycle, with fractional values, and a
+    # generator kernel that breaks the Jacobi identity: both scans must
+    # flag the same triples
+    monkeypatch.setattr(wlog, "_COCYCLE_MEMO", {})
+    monkeypatch.setitem(
+        wlog._COCYCLES, "skew", lambda a, b: F(a[1] ** 3 * b[0] - b[1] ** 3 * a[0], 5)
+    )
+    skew = check_jacobi(2, "skew")
+    assert skew["violations"] and skew["skipped"] == 0
+    assert skew == jacobi_by_elements(2, "skew")
+
+    kernel = wlog._bracket_terms
+
+    def broken(a, b, fn):
+        top, low, central = kernel(a, b, fn)
+        return top, low + (a[0] == 1 and b[1] == 0), central
+
+    monkeypatch.setattr(wlog, "_bracket_terms", broken)
+    for mode in ("none", "closed"):
+        report = check_jacobi(2, mode)
+        assert report["violations"]
+        assert report == jacobi_by_elements(2, mode)
+
+
+def test_jacobi_scan_rejects_unknown_cocycle():
+    with pytest.raises(DomainError, match="unknown cocycle"):
+        check_jacobi(1, "nope")
 
 
 # -- realization ------------------------------------------------------------
