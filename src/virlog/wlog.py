@@ -19,15 +19,20 @@ wlog_deviations collects those pairs.
 The central element b is one more basis vector: a WLogElement is a
 Combination over the keys (i, m) and CENTRAL, and wlog_bracket extends the
 generator bracket bilinearly over elements, with b bracketing to zero.
-Both the generator and the element bracket take their structure constants
-from one kernel, _bracket_terms, which gives m - n and j - i as ints and
-the cocycle value from _COCYCLE_MEMO, a table keyed by the generator pair
-and the cocycle function.  A cocycle that raises stores nothing there.
+The generator bracket, the element bracket and check_jacobi take their
+terms from one kernel, _bracket_terms, the one place that knows where the
+terms of a bracket go: it gives each generator key of the bracket with
+its coefficient, m - n or j - i as an int, and the cocycle value from
+_COCYCLE_MEMO, a table keyed by the generator pair and the cocycle
+function.  A cocycle that raises stores nothing there.
+
 Coefficients run as ints where they are integral and come back as
-Fractions: the element bracket multiplies and sums them through
-polynomial.as_int and polynomial.rational_terms, both cocycles are summed
-in ints over one common denominator, and check_jacobi sums each cyclic
-triple straight from _bracket_terms without building elements.
+Fractions: both cocycles are summed in ints over one common denominator,
+and check_jacobi sums each cyclic triple straight from the kernel without
+building elements, its generator part in ints.  The bracket itself
+multiplies the coefficients of its arguments as they come and turns each
+int structure constant into a Fraction, so every coefficient of its
+result is a Fraction or a MultiPoly.
 
 The vacuum vector v_b is annihilated by every generator with mode m >= 0,
 generators with m < 0 create, and the central element acts by the symbol
@@ -46,10 +51,8 @@ from .polynomial import (
     Coeff,
     Combination,
     accumulate,
-    as_int,
     coeff_from_json,
     coeff_to_json,
-    rational_terms,
     render_terms,
     sym,
 )
@@ -269,9 +272,10 @@ _ZERO = Fraction(0)
 
 
 def _bracket_terms(a, b, fn) -> tuple:
-    """Structure constants of [t^(i)(m), t^(j)(n)] for generators a = (i, m)
-    and b = (j, n): (m - n, j - i, fn(a, b)), the coefficients of
-    t^(i+j)(m+n), t^(i+j-1)(m+n) and b.  The first two are ints."""
+    """[t^(i)(m), t^(j)(n)] for generators a = (i, m) and b = (j, n), as
+    ((i+j, m+n), m - n, (i+j-1, m+n), j - i, fn(a, b)): each generator key
+    of the bracket with its int coefficient, then the coefficient of b.
+    The one place that knows where the terms of a bracket go."""
     (i, m), (j, n) = a, b
     # a flat key holds no reference to the callers' generator tuples
     key = (i, m, j, n, fn)
@@ -279,7 +283,7 @@ def _bracket_terms(a, b, fn) -> tuple:
     if central is None:
         # most values are zero; they share one object
         central = _COCYCLE_MEMO[key] = fn(a, b) or _ZERO
-    return m - n, j - i, central
+    return (i + j, m + n), m - n, (i + j - 1, m + n), j - i, central
 
 
 def wlog_bracket(a, b, cocycle: str = "none") -> WLogElement:
@@ -287,34 +291,31 @@ def wlog_bracket(a, b, cocycle: str = "none") -> WLogElement:
     fn = _cocycle_fn(cocycle)
     if isinstance(a, WLogElement) or isinstance(b, WLogElement):
         a, b = _element_of(a), _element_of(b)
-        right = [(g2, as_int(c2)) for g2, c2 in b.terms.items() if g2 != CENTRAL]
         pairs = []
         for g1, c1 in a.terms.items():
             if g1 == CENTRAL:
                 continue
-            c1 = as_int(c1)
-            i, m = g1
-            for g2, c2 in right:
-                j, n = g2
-                top, low, central = _bracket_terms(g1, g2, fn)
+            for g2, c2 in b.terms.items():
+                if g2 == CENTRAL:
+                    continue
+                top_key, top, low_key, low, central = _bracket_terms(g1, g2, fn)
                 c = c1 * c2
                 if top:
-                    pairs.append(((i + j, m + n), c * top))
+                    pairs.append((top_key, c * top))
                 if low:
-                    pairs.append(((i + j - 1, m + n), c * low))
+                    pairs.append((low_key, c * low))
                 if central:
                     pairs.append((CENTRAL, c * central))
-        return WLogElement._of(rational_terms(accumulate(pairs)))
+        return WLogElement._of(accumulate(pairs))
     a, b = _check_generator(a), _check_generator(b)
     if a == CENTRAL or b == CENTRAL:
         return WLogElement()
-    (i, m), (j, n) = a, b
-    top, low, central = _bracket_terms(a, b, fn)
+    top_key, top, low_key, low, central = _bracket_terms(a, b, fn)
     terms = {}
     if top:
-        terms[(i + j, m + n)] = Fraction(top)
+        terms[top_key] = Fraction(top)
     if low:
-        terms[(i + j - 1, m + n)] = Fraction(low)
+        terms[low_key] = Fraction(low)
     if central:
         terms[CENTRAL] = central
     return WLogElement._of(terms)
@@ -360,10 +361,10 @@ def check_jacobi(bound: int, cocycle: str = "none") -> dict:
     with |i|, |m| <= bound.  With a cocycle the central component of the sum
     is exactly the 2-cocycle identity, so one scan verifies both.
 
-    Pairs outside the closed form's domain are skipped and counted."""
+    Triples whose brackets raise DomainError, outside the closed form's
+    domain or under an unknown cocycle name, are skipped and counted."""
     if bound < 1:
         raise DomainError("jacobi scan needs bound >= 1")
-    fn = _cocycle_fn(cocycle)
     gens = [
         (i, m)
         for i in range(-bound, bound + 1)
@@ -373,7 +374,7 @@ def check_jacobi(bound: int, cocycle: str = "none") -> dict:
     violations = []
     for x, y, z in combinations_with_replacement(gens, 3):
         try:
-            nonzero = _jacobi_sum_nonzero(x, y, z, fn)
+            nonzero = _jacobi_sum_nonzero(x, y, z, _cocycle_fn(cocycle))
         except DomainError:
             skipped += 1
             continue
@@ -391,31 +392,27 @@ def check_jacobi(bound: int, cocycle: str = "none") -> dict:
 
 def _jacobi_sum_nonzero(x, y, z, fn) -> bool:
     """Whether [[x,y],z] + [[y,z],x] + [[z,x],y] is nonzero, for generators
-    x, y, z, summed straight from _bracket_terms.
+    x, y, z, summed from _bracket_terms without building elements.
 
-    [x, y] is top t^(i+j)(m+n) + low t^(i+j-1)(m+n) + central b, and b
-    brackets to zero, so the outer bracket is top [t^(i+j)(m+n), z] +
-    low [t^(i+j-1)(m+n), z], each taken only when its multiplier is nonzero:
-    the calls, and the order, of wlog_bracket on the same triple.  The
-    generator part is summed in ints.  The central part, a sum of int
-    multiples of cocycle values, is summed as one numerator over the
-    product of their denominators."""
+    The outer bracket takes each generator term of the inner one whose int
+    coefficient k is nonzero, and skips the central term, which brackets
+    to zero: the kernel calls wlog_bracket makes on the same triple.  The
+    generator part sums in ints.  The central part, a sum of k times
+    cocycle values, sums as one int numerator over the product of their
+    denominators, since only its zero test is used."""
     gens: dict = {}
     get = gens.get
     num, den = 0, 1
     for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-        (i, m), (j, n) = a, b
-        p, q = c
-        top, low, _ = _bracket_terms(a, b, fn)
-        for k, g in ((top, (i + j, m + n)), (low, (i + j - 1, m + n))):
+        top_key, top, low_key, low, _ = _bracket_terms(a, b, fn)
+        for g, k in ((top_key, top), (low_key, low)):
             if not k:
                 continue
-            top2, low2, central = _bracket_terms(g, c, fn)
-            r, s = g[0] + p, g[1] + q
+            top_key2, top2, low_key2, low2, central = _bracket_terms(g, c, fn)
             if top2:
-                gens[(r, s)] = get((r, s), 0) + k * top2
+                gens[top_key2] = get(top_key2, 0) + k * top2
             if low2:
-                gens[(r - 1, s)] = get((r - 1, s), 0) + k * low2
+                gens[low_key2] = get(low_key2, 0) + k * low2
             if central:
                 num = num * central.denominator + k * central.numerator * den
                 den *= central.denominator
