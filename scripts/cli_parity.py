@@ -20,6 +20,12 @@ The sweeps:
     benchmark's numeric sweep;
   - both with and without `--json`, and with and without `--level`;
   - `determine-b` at h = 5/8, and at the degenerate weights 0 and 1;
+  - the module verbs at levels 0-6 and `--jordan` 1-3, with and without
+    `--json`: `det`, `singular`, `radical` and, at `--jordan` 1 and 2,
+    `hom-check` on Kac weights h_{r,s} with rs the level and on two generic
+    weights; `shapovalov --symbolic`, and `det --symbolic` within the CLI's
+    symbolic row cap; and the refusals of `singular` at level 0,
+    `--jordan 0` and `--symbolic` with `--c` or `--h`;
   - in every `--cocycle` mode, with and without `--json`: `wlog bracket`
     and `wlog cocycle` on every pair of generators i:m with |i|, |m| <= 3,
     `wlog jacobi` at `--level` 1 and 2, and `wlog vev` on the words of the
@@ -50,6 +56,9 @@ T_VALUES = tuple(Fraction(p, q) for p, q in
                  [(1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (3, 2), (2, 3)])
 COCYCLES = ("none", "closed", "residue")
 WLOG_BOUND = 3
+PARTITION_COUNTS = (1, 1, 2, 3, 5, 7, 11)  # levels 0-6
+SYMBOLIC_DET_ROWS = 15  # virlog.cli.MAX_SYMBOLIC_DET_ROWS
+GENERIC_WEIGHTS = ((Fraction(1, 3), Fraction(2, 7)), (Fraction(-7, 2), Fraction(5, 9)))
 
 
 def _kac(t: Fraction, r: int, s: int):
@@ -65,6 +74,29 @@ def _fusion(c, h1, h2, level: int) -> list:
     return [argv + extra + fmt
             for extra in ([], ["--level", str(level)])
             for fmt in ([], ["--json"])]
+
+
+def _modules() -> list:
+    """The module verbs, with and without --json, and their refusals."""
+    formats = ([], ["--json"])
+    argvs = []
+    for level, count in enumerate(PARTITION_COUNTS):
+        labels = [(r, level // r) for r in range(1, level + 1) if level % r == 0]
+        weights = [_kac(T_VALUES[k % len(T_VALUES)], r, s) for k, (r, s) in enumerate(labels)]
+        for jordan in (1, 2, 3):
+            sizes = ["--level", str(level), "--jordan", str(jordan)]
+            verbs = ["det", "singular", "radical"] + (["hom-check"] if jordan <= 2 else [])
+            for c, h in weights + list(GENERIC_WEIGHTS):
+                argvs += [[verb, "--c", str(c), "--h", str(h)] + sizes + fmt
+                          for verb in verbs for fmt in formats]
+            symbolic = ["shapovalov"] + (["det"] if jordan * count <= SYMBOLIC_DET_ROWS else [])
+            argvs += [[verb, "--symbolic"] + sizes + fmt for verb in symbolic for fmt in formats]
+    argvs += [["singular", "--c", "1", "--h", "1", "--level", "0"]]
+    argvs += [[verb, "--c", "1", "--h", "1", "--level", "2", "--jordan", "0"]
+              for verb in ("det", "singular", "radical", "hom-check")]
+    argvs += [[verb, "--symbolic", flag, "1", "--level", "2"]
+              for verb in ("det", "shapovalov") for flag in ("--c", "--h")]
+    return argvs
 
 
 def _wlog(readme: list) -> list:
@@ -98,7 +130,7 @@ def sweeps() -> list:
         argvs += [["determine-b", "--h", h], ["determine-b", "--h", h, "--json"]]
     readme = [shlex.split(line)[2:] for line in (ROOT / "README.md").read_text().splitlines()
               if line.startswith("$ virlog ")]
-    return argvs + _wlog(readme) + readme
+    return argvs + _modules() + _wlog(readme) + readme
 
 
 def worker() -> int:

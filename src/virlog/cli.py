@@ -167,6 +167,9 @@ def _cmd_radical(args):
 
 def _cmd_hom_check(args):
     mod = _module_from_args(args)
+    if mod.jordan > 2:
+        # refused up front, so the answer does not depend on the weight
+        raise DomainError("homomorphism certificate needs a jordan-size-2 target")
     found = singular_vectors(mod, args.level)
     weight = mod.h_value() + args.level
     certified = False

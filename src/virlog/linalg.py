@@ -4,12 +4,16 @@ determinants and a certified modular kernel for ranks and kernels.
 Entries are Coeff = Fraction | MultiPoly.  The matrix is first scaled to
 integer coefficients.  The determinant is a Bareiss (1968) elimination in
 Z: every intermediate is a minor of the scaled matrix, so each division is
-exact and no Fraction is built until the end.
+exact and no Fraction is built until the end.  Callers that hold integer
+rows already (the module matrices of virlog.modules) pass them straight to
+the integer entry points _int_determinant, _int_null_space and
+_full_column_rank; ExactMatrix.determinant and null_space call the first
+two after scaling.
 
 A determinant over Z[vars] is evaluated at an integer grid in all vars but
 the last, which is packed into each entry as a power of two (Kronecker
-substitution), and recovered from the integer determinants by unpacking
-digits and interpolating over the grid.
+substitution), and recovered from the integer determinants by
+interpolating over the grid and unpacking digits.
 
 The reduced row echelon form behind rank and kernel is computed mod primes
 just below 2^62 and lifted by the Chinese remainder theorem and rational
@@ -74,28 +78,11 @@ class ExactMatrix:
         The matrix is scaled by D to integer coefficients and the result is
         det / D**n: a Fraction when no entry is a MultiPoly, else a MultiPoly
         over the union of the entries' vars, and Fraction(0) when a column
-        before the last has no pivot.  Without variables that is one int
-        Bareiss elimination.  Over Z[vars] the determinant is evaluated at
-        an integer grid, the last var packed into each entry as a power of
-        two, and interpolated back (see _det_terms); the columns before the
-        last then lack a pivot exactly when no grid point gives them one.
+        before the last has no pivot.  See _int_determinant.
         """
         if self.rows != self.cols:
             raise ShapeError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return Fraction(1)
-        m, scale, vars = _scaled(self.entries)
-        if not vars:
-            det = _int_det(m)
-            if det is None:
-                return Fraction(0)
-            value = Fraction(det, scale**n)
-            return value if vars is None else MultiPoly((), {(): value})
-        terms = _det_terms(m, len(vars))
-        if terms is None:
-            return Fraction(0)
-        return MultiPoly(vars, {e: Fraction(c, scale**n) for e, c in terms.items()})
+        return _int_determinant(*_scaled(self.entries))
 
     # -- kernel ------------------------------------------------------------
 
@@ -125,12 +112,7 @@ class ExactMatrix:
         bound H, so once the lucky primes multiply past 2 H^2 the
         reconstruction is exact, which caps the number of primes.
         """
-        try:
-            values = [[x.constant_value() if isinstance(x, MultiPoly) else x for x in row]
-                      for row in self.entries]
-        except SymbolError:
-            raise DomainError("kernel computation needs rational entries") from None
-        pivots, lifted = _modular_rref(_int_rows(values)[0], self.cols)
+        pivots, lifted = _modular_rref(self._ints(), self.cols)
         one, zero = Fraction(1), Fraction(0)
         reduced = [[zero] * self.cols for _ in range(self.rows)]
         for r, pc in enumerate(pivots):
@@ -146,21 +128,20 @@ class ExactMatrix:
         Each basis vector carries a 1 in its free column, so the result is
         deterministic and convenient for normalization downstream.
         """
-        reduced, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivot_set]
-        basis = []
-        for f in free:
-            vec = [Fraction(0)] * self.cols
-            vec[f] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                vec[pc] = -reduced.entries[r][f]
-            basis.append(vec)
-        return basis
+        return _int_null_space(self._ints(), self.cols)
 
     def rank(self) -> int:
         _, pivots = self.rref()
         return len(pivots)
+
+    def _ints(self):
+        """The entries as int rows, scaled by the lcm of their denominators."""
+        try:
+            values = [[x.constant_value() if isinstance(x, MultiPoly) else x for x in row]
+                      for row in self.entries]
+        except SymbolError:
+            raise DomainError("kernel computation needs rational entries") from None
+        return _int_rows(values)[0]
 
     # -- io ----------------------------------------------------------------
 
@@ -274,6 +255,33 @@ def _int_det(m):
     return sign * m[n - 1][n - 1] if len(pivots) == n - 1 else None
 
 
+def _int_determinant(m, scale, vars) -> Coeff:
+    """det of the n x n matrix m / scale, m holding ints when vars is None
+    or (), else {exps: int} term dicts over vars: a Fraction when vars is
+    None, else a MultiPoly over vars, and Fraction(0) when a column before
+    the last has no pivot.
+
+    Without vars this is one int Bareiss elimination of m, in place.  Over
+    Z[vars] the determinant is evaluated at an integer grid, the last var
+    packed into each entry as a power of two, and interpolated back (see
+    _det_terms); the columns before the last then lack a pivot exactly
+    when no grid point gives them one.
+    """
+    n = len(m)
+    if n == 0:
+        return Fraction(1)
+    if not vars:
+        det = _int_det(m)
+        if det is None:
+            return Fraction(0)
+        value = Fraction(det, scale**n)
+        return value if vars is None else MultiPoly((), {(): value})
+    terms = _det_terms(m, len(vars))
+    if terms is None:
+        return Fraction(0)
+    return MultiPoly(vars, {e: Fraction(c, scale**n) for e, c in terms.items()})
+
+
 def _degree_bound(m, v):
     """A bound on the v-degree of det m and of each of its minors: the
     smaller of the sums of the largest v-degree over rows and over columns."""
@@ -287,18 +295,20 @@ def _det_terms(m, width):
     before the last a full set of pivots.
 
     With D_v the degree bound of each var, the last var is packed as 2^B
-    and the others run over the grid 0..D_v.  At a grid point every entry
-    is an integer polynomial in the last var whose coefficients, and those
-    of every minor, are at most P in absolute value, P being the product
-    over rows of max(1, row sum of the entries' coefficient norms) at the
-    grid's far corner.  With B = bitlen(P) + 1 the balanced base-2^B digits of the
-    int Bareiss determinant are the coefficients.  Each coefficient of the
-    last var, known on the grid, is recovered var by var from its integer
-    finite differences (Newton's forward formula) and converted to
-    monomials.  A nonzero minor of degree at most D_v in each grid var
-    cannot vanish on the whole grid, so a point gives the columns before
-    the last a full set of pivots exactly when elimination over Z[vars]
-    would.
+    and the others run over the grid 0..D_v.  Take as the norm of a
+    polynomial the sum of its |coefficient| times D_v to the power of its
+    exponent of each grid var (a var with D_v = 0 does not occur).  That
+    norm is submultiplicative, so det m has norm, and every coefficient of
+    det m absolute value, at most P, the product over rows of max(1, row
+    sum of the entries' norms).  The int Bareiss determinants on the grid
+    are the values of det m at 2^B, a polynomial in the grid vars with int
+    coefficients; these are recovered var by var from their integer finite
+    differences (Newton's forward formula), and with B = bitlen(P) + 1
+    their balanced base-2^B digits are the coefficients of the last var.
+    A nonzero minor of degree at most D_v
+    in each grid var cannot vanish on the whole grid, so a point gives the
+    columns before the last a full set of pivots exactly when elimination
+    over Z[vars] would.
     """
     *grid, top = (_degree_bound(m, v) for v in range(width))
     bound = 1
@@ -317,22 +327,13 @@ def _det_terms(m, width):
                 by_grid[e[:-1]] = by_grid.get(e[:-1], 0) + (c << shift * e[-1])
             out.append(list(by_grid.items()))
         packed.append(out)
+    monomials = {g for row in packed for entry in row for g, _ in entry}
     table, pivoted = {}, False
     for point in product(*(range(d + 1) for d in grid)):
-        powers = [[x**k for k in range(d + 1)] for x, d in zip(point, grid)]
-        det = _int_det([
-            [sum(prod(map(list.__getitem__, powers, g), start=c) for g, c in entry)
-             for entry in row]
-            for row in packed
-        ])
+        at = {g: prod(map(pow, point, g)) for g in monomials}
+        det = _int_det([[sum(c * at[g] for g, c in entry) for entry in row] for row in packed])
         pivoted = pivoted or det is not None
-        det = det or 0
-        for k in range(top + 1):
-            digit = det & mask
-            if digit >= half:
-                digit -= mask + 1
-            table[point + (k,)] = digit
-            det = (det - digit) >> shift
+        table[point] = det or 0
     if not pivoted:
         return None
     for axis, d in enumerate(grid):
@@ -340,7 +341,16 @@ def _det_terms(m, width):
             fiber = [key[:axis] + (x,) + key[axis + 1:] for x in range(d + 1)]
             for at, coeff in zip(fiber, _monomial_coeffs([table[k] for k in fiber])):
                 table[at] = coeff
-    return {e: c for e, c in table.items() if c}
+    terms = {}
+    for g, value in table.items():
+        for k in range(top + 1):
+            digit = value & mask
+            if digit >= half:
+                digit -= mask + 1
+            if digit:
+                terms[g + (k,)] = digit
+            value = (value - digit) >> shift
+    return terms
 
 
 def _monomial_coeffs(values):
@@ -512,3 +522,28 @@ def _modular_rref(m, cols):
         lifted = _lift(m, pivots, residues, modulus)
         if lifted is not None:
             return pivots, lifted
+
+
+def _full_column_rank(m, cols) -> bool:
+    """Whether the int rows m have a pivot in each of their cols columns
+    mod the first prime.  True proves full column rank over Q, as rank mod
+    p is at most the rank over Q; False proves nothing."""
+    return len(_rref_mod(m, cols, _prime(0))[0]) == cols
+
+
+def _int_null_space(m, cols):
+    """Basis of the right kernel of the int rows m with cols columns: for
+    each free column f of the reduced form, in order, the Fraction vector
+    with 1 at f, 0 at the other free columns and minus the lifted entries
+    of f at the pivots before it (_modular_rref, so every vector is checked
+    exactly)."""
+    pivots, lifted = _modular_rref(m, cols)
+    zero, one = Fraction(0), Fraction(1)
+    basis = []
+    for f, column in lifted.items():
+        vec = [zero] * cols
+        vec[f] = one
+        for pc, q in zip(pivots, column):
+            vec[pc] = -q
+        basis.append(vec)
+    return basis

@@ -28,7 +28,18 @@ evaluates these structure constants.  For a matrix between levels that
 gives the Taylor-block rule: block (i, j) of the top indices holds
 (d/dh)^k P / k!, k = j - i, of each entry P over Q[c, h], and 0 for j < i.
 The Gram matrices and the L(1), L(2) matrices over Q[c, h] are built once
-per level.
+per level, as tables of ints over a common denominator.
+
+A module evaluates a table block by block (_blocks) and assembles the
+block upper-triangular Toeplitz matrix (_toeplitz).  The rows reach the
+kernels of linalg as ints: numeric rows times one common denominator, and
+symbolic rows as {(a, b): int} term dicts of c^a h^b over the table's
+denominator, with no MultiPoly or Fraction per entry.  The diagonal block
+is the matrix on the jordan-1 module, and a block upper-triangular matrix
+whose diagonal block has full column rank has full column rank; so at
+jordan >= 2 the radical and the singular vectors first reduce that block
+alone mod a prime, and only when that does not prove full rank are the
+other blocks evaluated and the whole matrix reduced and lifted.
 """
 
 from __future__ import annotations
@@ -40,13 +51,21 @@ from math import comb, lcm
 from typing import Union
 
 from .errors import DomainError, ParseError, ShapeError, SymbolError
-from .linalg import ExactMatrix
+from .linalg import (
+    ExactMatrix,
+    _full_column_rank,
+    _int_determinant,
+    _int_null_space,
+    _modular_rref,
+)
 from .polynomial import (
     Coeff,
     MultiPoly,
     accumulate,
+    as_int,
     coeff_from_json,
     coeff_to_json,
+    rational_terms,
     render_terms,
     sym,
 )
@@ -154,7 +173,7 @@ def level_basis(mod: JordanVermaModule, level: int) -> list:
 _ONE, _C, _H = (0, 0), (1, 0), (0, 1)
 
 # L(-p)·B(mu) expanded over basis words; pure structure constants, so the
-# cache is global and the values are integers.
+# cache is global and the values are ints.
 _PREPEND_MEMO: dict = {}
 
 
@@ -166,7 +185,7 @@ def _prepend(p: int, mu: tuple) -> dict:
     if cached is not None:
         return cached
     if not mu or p <= mu[-1]:
-        result = {mu + (p,): Fraction(1)}
+        result = {mu + (p,): 1}
     else:
         s2, rho2 = mu[-1], mu[:-1]
         result = accumulate(
@@ -181,12 +200,14 @@ def _prepend(p: int, mu: tuple) -> dict:
 # it holds one entry per mode and label in use whatever the number of
 # modules.  Values are {(mu, exps): q}: the coefficient of B(mu)v is the
 # sum of q c^a h^b over its exps (a, b), one of _ONE, _C and _H, since a
-# single mode reaches the top level at most once.
+# single mode reaches the top level at most once.  q is an int, or a
+# Fraction where the central term (k^3 - k)/12 leaves one, so that the sums
+# over the memo run in ints.
 _ACTION_MEMO: dict = {}
 
 
 def _apply_single(k: int, lam: tuple) -> dict:
-    """L(k) on B(lam)v in M(c, h): {(mu, exps): Fraction}."""
+    """L(k) on B(lam)v in M(c, h): {(mu, exps): int or Fraction}."""
     key = (k, lam)
     cached = _ACTION_MEMO.get(key)
     if cached is not None:
@@ -194,9 +215,9 @@ def _apply_single(k: int, lam: tuple) -> dict:
     pairs = []
     if lam == ():
         if k == 0:
-            pairs.append((((), _H), Fraction(1)))
+            pairs.append((((), _H), 1))
         elif k < 0:
-            pairs.append((((-k,), _ONE), Fraction(1)))
+            pairs.append((((-k,), _ONE), 1))
         # k > 0 annihilates the top level
     else:
         s, rho = lam[-1], lam[:-1]
@@ -213,7 +234,7 @@ def _apply_single(k: int, lam: tuple) -> dict:
         if k == s:
             central = Fraction(k**3 - k, 12)
             if central != 0:
-                pairs.append(((rho, _C), central))
+                pairs.append(((rho, _C), as_int(central)))
     out = accumulate(pairs)
     _ACTION_MEMO[key] = out
     return out
@@ -304,7 +325,7 @@ class ModuleVector:
                         pairs.append(((mu, top - 1), q))
                 else:
                     pairs.append(((mu, top), q * c if e == _C else q))
-        return ModuleVector(self.module, new_level, accumulate(pairs))
+        return ModuleVector(self.module, new_level, rational_terms(accumulate(pairs)))
 
     def apply_word(self, modes) -> "ModuleVector":
         """Apply a sequence of modes, first element acting first."""
@@ -394,9 +415,9 @@ def basis_vector(mod: JordanVermaModule, lam, top: int = 1) -> ModuleVector:
 
 
 def _table(rows) -> tuple:
-    """(den, A, B, rows) for a matrix of {(a, b): Fraction} term dicts: den
-    the lcm of the denominators, A and B the largest exponents of c and of
-    h, and each entry a tuple of (q * den, a, b)."""
+    """(den, A, B, rows) for a matrix of {(a, b): int or Fraction} term
+    dicts: den the lcm of the denominators, A and B the largest exponents
+    of c and of h, and each entry a tuple of (q * den, a, b)."""
     terms = [(e, q) for row in rows for entry in row for e, q in entry.items()]
     den = lcm(*(q.denominator for _, q in terms))
     amax = max((a for (a, _), _ in terms), default=0)
@@ -422,43 +443,70 @@ def _poly(terms: dict) -> Coeff:
     )
 
 
-def _on_module(table, mod: JordanVermaModule) -> tuple:
-    """(rows, scale): the matrix the table gives on mod, numeric or fully
-    symbolic, times scale.  Symbolic rows are over Q[c, h] and scale is 1.
-    Numeric rows are summed in ints and scale is the common denominator
+def _blocks(table, mod: JordanVermaModule, ks) -> tuple:
+    """(blocks, scale): the Taylor blocks k in ks of the table on mod,
+    numeric or fully symbolic, each a list of rows, times scale.  Symbolic
+    entries are {(a, b): int} term dicts of c^a h^b and scale is den.
+    Numeric entries are summed in ints and scale is the common denominator
     den * cd^A * hd^B, c = cn/cd and h = hn/hd.
     """
     den, amax, bmax, rows = table
     if mod.symbolic:
-        scale, zero = 1, Fraction(0)
+        scale = den
 
         def value(entry, k):
-            return _poly({(a, b - k): Fraction(num * comb(b, k), den)
-                          for num, a, b in entry if b >= k})
+            return {(a, b - k): num * comb(b, k) for num, a, b in entry if b >= k}
     else:
         cn, cd = mod.c.numerator, mod.c.denominator
         hn, hd = mod.h.numerator, mod.h.denominator
         cpow = [cn**a * cd ** (amax - a) for a in range(amax + 1)]
         hpow = [hn**b * hd ** (bmax - b) for b in range(bmax + 1)]
-        scale, zero = den * cd**amax * hd**bmax, 0
+        scale = den * cd**amax * hd**bmax
 
         def value(entry, k):
             return sum(num * comb(b, k) * cpow[a] * hpow[b - k]
                        for num, a, b in entry if b >= k)
 
-    n = mod.jordan
-    blocks = [[[value(entry, k) for entry in row] for row in rows] for k in range(n)]
-    zeros = [zero] * len(rows[0])
-    return [
-        zeros * i + [x for k in range(n - i) for x in blocks[k][r]]
-        for i in range(n)
-        for r in range(len(rows))
-    ], scale
+    return [[[value(entry, k) for entry in row] for row in rows] for k in ks], scale
+
+
+def _toeplitz(blocks, zero) -> list:
+    """Rows of the block upper-triangular Toeplitz matrix with blocks[k]
+    on its k-th block superdiagonal: block (i, j) of the top indices is
+    blocks[j - i], and zero below the diagonal."""
+    n, size = len(blocks), len(blocks[0])
+    zeros = [zero] * len(blocks[0][0])
+    return [zeros * i + [x for k in range(n - i) for x in blocks[k][r]]
+            for i in range(n)
+            for r in range(size)]
+
+
+def _kernel_rows(tables, mod: JordanVermaModule):
+    """The int rows of the stacked tables on mod, each table's rows times
+    its own scale; None when their top block proves full column rank.
+
+    Grouped by top index, the matrix is block upper triangular, and its
+    diagonal block is the top block: the stacked block 0 of the tables,
+    their matrix on the jordan-1 module.  If the top block has full column
+    rank, so does the whole matrix, its last block column first.  At
+    jordan >= 2 the top block is reduced alone mod the first prime, which
+    can only prove full rank; otherwise the remaining blocks are evaluated
+    and assembled with block 0 for the certified kernel.  At jordan 1 the
+    top block is the whole matrix, and the kernel's first prime makes the
+    same test.
+    """
+    tops = [_blocks(table, mod, range(1))[0] for table in tables]
+    top = [row for (block,) in tops for row in block]
+    if mod.jordan > 1 and _full_column_rank(top, len(top[0])):
+        return None
+    return [row
+            for table, (block,) in zip(tables, tops)
+            for row in _toeplitz([block] + _blocks(table, mod, range(1, mod.jordan))[0], 0)]
 
 
 @lru_cache(maxsize=None)
 def _generic_gram(level: int) -> dict:
-    """{(lam, mu): {(a, b): Fraction}}, the Gram entries of M(c, h).
+    """{(lam, mu): {(a, b): int or Fraction}}, the Gram entries of M(c, h).
 
     The word of lam applies its smallest part k first, then the word of
     rest, lam without that part; so the (lam, mu) entry sums the
@@ -466,7 +514,7 @@ def _generic_gram(level: int) -> dict:
     """
     parts = partitions(level)
     if level == 0:
-        return {((), ()): {_ONE: Fraction(1)}}
+        return {((), ()): {_ONE: 1}}
     out = {}
     for lam in parts:
         k, rest = lam[-1], lam[:-1]
@@ -507,22 +555,55 @@ def shapovalov_matrix(mod: JordanVermaModule, level: int) -> ExactMatrix:
     """Gram matrix of (a, b) = coefficient of the paired top vector in
     (transpose word of a) applied to b, on the level basis order."""
     mod.require_unmixed()
-    rows, scale = _on_module(_gram_table(level), mod)
-    if not mod.symbolic:
-        rows = [[Fraction(x, scale) for x in row] for row in rows]
-    return ExactMatrix(rows)
+    blocks, scale = _blocks(_gram_table(level), mod, range(mod.jordan))
+    if mod.symbolic:
+        rows = _toeplitz(blocks, {})
+        return ExactMatrix([[_poly({e: Fraction(q, scale) for e, q in x.items()}) for x in row]
+                            for row in rows])
+    return ExactMatrix([[Fraction(x, scale) for x in row] for row in _toeplitz(blocks, 0)])
 
 
 def shapovalov_determinant(mod: JordanVermaModule, level: int) -> Coeff:
-    return shapovalov_matrix(mod, level).determinant()
+    """Determinant of the Shapovalov form at the given level: a Fraction
+    on a numeric module, and on the symbolic one a MultiPoly over the
+    symbols the Gram entries use (level 1 is over h alone) or Fraction(1)
+    at level 0.
+
+    The Gram table's Taylor blocks reach the determinant as int rows over
+    the table's denominator, {(a, b): int} term dicts when symbolic, with
+    no MultiPoly or Fraction per entry.
+    """
+    mod.require_unmixed()
+    table = _gram_table(level)
+    blocks, scale = _blocks(table, mod, range(mod.jordan))
+    if not mod.symbolic:
+        return _int_determinant(_toeplitz(blocks, 0), scale, None)
+    # over the symbols the entries use: none at level 0, h alone at level 1
+    used = [i for i, d in enumerate(table[1:3]) if d]
+    rows = _toeplitz(blocks, {})
+    if not used:
+        rows = [[x.get(_ONE, 0) for x in row] for row in rows]
+    elif len(used) == 1:
+        (i,) = used
+        rows = [[{(e[i],): q for e, q in x.items()} for x in row] for row in rows]
+    return _int_determinant(rows, scale, tuple("ch"[i] for i in used) or None)
 
 
 def radical_dimension(mod: JordanVermaModule, level: int) -> int:
-    """Dimension of the right radical of the form at the given level."""
+    """Dimension of the right radical of the form at the given level.
+
+    The Gram matrix is block upper triangular in the top index with the
+    jordan-1 Gram matrix on its diagonal, so full rank of that block mod a
+    prime settles the answer at 0 (_kernel_rows); otherwise it is the
+    number of free columns of the certified reduced form of the int rows.
+    """
     mod.require_numeric("radical computation")
     # the kernel does not depend on the common scale of the int rows
-    rows, _ = _on_module(_gram_table(level), mod)
-    return len(ExactMatrix(rows).null_space())
+    rows = _kernel_rows([_gram_table(level)], mod)
+    if rows is None:
+        return 0
+    cols = len(rows[0])
+    return cols - len(_modular_rref(rows, cols)[0])
 
 
 def singular_vectors(mod: JordanVermaModule, level: int) -> list:
@@ -530,21 +611,23 @@ def singular_vectors(mod: JordanVermaModule, level: int) -> list:
     each vector scaled so its first nonzero coefficient is 1.
 
     L(1), L(2) generate all positive modes under bracketing, so this kernel
-    is exactly the space of singular vectors.
+    is exactly the space of singular vectors.  The stacked L(1), L(2)
+    matrix is block upper triangular in the top index with the jordan-1
+    stacked matrix on its diagonal, so full column rank of that block mod
+    a prime settles the answer as [] (_kernel_rows); otherwise the basis is
+    read from the certified kernel of the int rows, each vector checked
+    exactly.
     """
     mod.require_numeric("singular vector computation")
     if level < 1:
         raise DomainError("singular vectors live at positive levels")
-    basis = level_basis(mod, level)
     # the kernel does not depend on the common scale of each block of rows
-    rows = [
-        row
-        for gen in (1, 2)
-        if gen <= level
-        for row in _on_module(_lowering_table(level, gen), mod)[0]
-    ]
+    rows = _kernel_rows([_lowering_table(level, gen) for gen in (1, 2) if gen <= level], mod)
+    if rows is None:
+        return []
+    basis = level_basis(mod, level)
     out = []
-    for vec in ExactMatrix(rows).null_space():
+    for vec in _int_null_space(rows, len(basis)):
         terms = {
             label: coeff
             for label, coeff in zip(basis, vec)

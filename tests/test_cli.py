@@ -74,6 +74,17 @@ def test_hom_check_certifies(capsys):
     assert "certified: true" in out
 
 
+@pytest.mark.parametrize("jordan", ["3", "4"])
+@pytest.mark.parametrize("c, h", [("1/3", "2/7"), ("1", "1")])
+def test_hom_check_refuses_jordan_above_two_at_any_weight(capsys, jordan, c, h):
+    # a generic weight (no singular vectors) and a Kac weight alike
+    code, out, err = run(capsys, "hom-check", "--c", c, "--h", h, "--level", "3",
+                         "--jordan", jordan)
+    assert code == 1
+    assert out == ""
+    assert err == "virlog: error: homomorphism certificate needs a jordan-size-2 target\n"
+
+
 def test_ope_coeff_and_degenerate_charge(capsys):
     code, out, _ = run(capsys, "ope-coeff", "--c", "3", "--h", "5/4")
     assert code == 0

@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import straightening_oracle as oracle
-from virlog import modules
+from virlog import linalg, modules
+from virlog.cli import MAX_SYMBOLIC_DET_ROWS
 from virlog.errors import DomainError, ShapeError, SymbolError
 from virlog.linalg import ExactMatrix
 from virlog.modules import (
@@ -36,10 +37,11 @@ from virlog.modules import (
     shapovalov_matrix,
     singular_vectors,
 )
-from virlog.polynomial import MultiPoly, sym
+from virlog.polynomial import MultiPoly, coeff_to_json, sym
 from virlog.virasoro import UEAElement
 
 from cofactor_determinant import determinant_cofactor
+from gauss_jordan import int_gauss_jordan
 from sparse_bareiss import sparse_bareiss
 
 C = sym("c")
@@ -300,7 +302,7 @@ def test_apply_mode_on_symbolic_modules_matches_straightening(c, h):
     mod = JordanVermaModule(c, h, 3)
     for level in range(5):
         for label in level_basis(mod, level):
-            for coeff in (Fraction(-2, 3), sym("h") + 1):
+            for coeff in (Fraction(-2, 3), sym("h") + 1, 2):
                 vec = ModuleVector(mod, level, {label: coeff})
                 for k in range(-3, level + 2):
                     want = oracle.apply_mode(vec, k)
@@ -432,6 +434,47 @@ def test_gram_determinant_matches_sparse_bareiss(rank, level):
     assert (det.vars, det.terms) == (ref.vars, ref.terms)
 
 
+def _assert_same_determinant(got, want):
+    assert _typed(got) == _typed(want)
+    assert coeff_to_json(got) == coeff_to_json(want)
+
+
+@pytest.mark.parametrize("jordan,level", [
+    (jordan, level) for jordan in (1, 2, 3) for level in range(6)
+    if jordan * len(partitions(level)) <= MAX_SYMBOLIC_DET_ROWS])
+def test_symbolic_determinant_from_int_rows(jordan, level):
+    # the int route against the Gram matrix of MultiPoly entries: same
+    # value, type, vars (level 1 is over h alone) and JSON
+    mod = JordanVermaModule("c", "h", jordan)
+    got = shapovalov_determinant(mod, level)
+    entries = shapovalov_matrix(mod, level).entries
+    _assert_same_determinant(got, ExactMatrix(entries).determinant())
+    if len(entries) <= 9:
+        _assert_same_determinant(got, sparse_bareiss(entries))
+    if level == 0:
+        assert _typed(got) == (Fraction, 1)
+    else:
+        assert got.vars == (("h",) if level == 1 else ("c", "h"))
+
+
+def test_numeric_determinant_from_int_rows():
+    rng = random.Random(20261019)
+    for jordan in (1, 2, 3):
+        for level in range(6):
+            points = [(Fraction(rng.randint(-40, 40), rng.randint(1, 9)),
+                       Fraction(rng.randint(-40, 40), rng.randint(1, 9))) for _ in range(2)]
+            if level:
+                # a Kac weight at the level, where the determinant is 0
+                labels = [(r, level // r) for r in range(1, level + 1) if level % r == 0]
+                points.append(_kac(rng.choice([Fraction(2), Fraction(2, 3)]), *rng.choice(labels)))
+            for c, h in points:
+                mod = JordanVermaModule(c, h, jordan)
+                got = shapovalov_determinant(mod, level)
+                entries = shapovalov_matrix(mod, level).entries
+                _assert_same_determinant(got, ExactMatrix(entries).determinant())
+                _assert_same_determinant(got, sparse_bareiss(entries))
+
+
 # -- singular vectors and radicals ------------------------------------------
 
 
@@ -530,6 +573,71 @@ def test_radical_dimensions():
     assert radical_dimension(JordanVermaModule(Fraction(1), Fraction(1, 3)), 2) == 0
     with pytest.raises(DomainError):
         radical_dimension(JordanVermaModule("c", "h"), 2)
+
+
+SWEEP_T = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3), Fraction(1, 3),
+           Fraction(3, 2), Fraction(2, 3))
+
+
+@st.composite
+def jordan_cases(draw):
+    """(module of jordan size 2-4, level 1-6): on the Kac table at the
+    level, as the benchmark's numeric sweep draws it, or at a p/q weight."""
+    level, jordan = draw(st.integers(1, 6)), draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        labels = [(r, level // r) for r in range(1, level + 1) if level % r == 0]
+        c, h = _kac(draw(st.sampled_from(SWEEP_T)), *draw(st.sampled_from(labels)))
+    else:
+        c, h = (Fraction(draw(st.integers(-40, 40)), draw(st.integers(1, 9))) for _ in range(2))
+    return JordanVermaModule(c, h, jordan), level
+
+
+def _kernel_by_gauss_jordan(rows, cols):
+    reduced, pivots = int_gauss_jordan(rows)
+    basis = []
+    for f in (f for f in range(cols) if f not in pivots):
+        vec = [Fraction(0)] * cols
+        vec[f] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -reduced[r][f]
+        basis.append(vec)
+    return basis
+
+
+@given(jordan_cases())
+@settings(max_examples=80, deadline=None)
+def test_top_block_certificate_matches_full_elimination(case):
+    mod, level = case
+    gram = shapovalov_matrix(mod, level)
+    assert radical_dimension(mod, level) == gram.cols - len(int_gauss_jordan(gram.entries)[1])
+    # the full stacked L(1), L(2) matrix, from the mode action on each basis vector
+    basis = level_basis(mod, level)
+    rows = []
+    for gen in (1, 2):
+        if gen <= level:
+            images = [basis_vector(mod, lam, top).apply_mode(gen) for lam, top in basis]
+            rows += [[image.coeff(label) for image in images]
+                     for label in level_basis(mod, level - gen)]
+    want = [ModuleVector(mod, level, {b: q for b, q in zip(basis, vec) if q}).normalize_leading()
+            for vec in _kernel_by_gauss_jordan(rows, len(basis))]
+    got = singular_vectors(mod, level)
+    assert [_typed_vector(v) for v in got] == [_typed_vector(v) for v in want]
+
+
+def test_top_block_certificate_skips_the_full_kernel(monkeypatch):
+    calls = []
+    real = modules._modular_rref
+    monkeypatch.setattr(modules, "_modular_rref", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(modules, "_int_null_space",
+                        lambda *a: calls.append(a) or linalg._int_null_space(*a))
+    generic = JordanVermaModule(Fraction(-13, 2), Fraction(-35), 3)
+    assert radical_dimension(generic, 6) == 0
+    assert singular_vectors(generic, 6) == []
+    assert calls == []
+    # on the Kac table the top block is singular and the 33 columns are reduced
+    kac = JordanVermaModule(*_kac(Fraction(2), 2, 3), 3)
+    assert radical_dimension(kac, 6) > 0
+    assert [len(a[0][0]) for a in calls] == [33]
 
 
 # -- homomorphism certificate -----------------------------------------------
