@@ -26,10 +26,12 @@ ExactMatrix.rref.
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from functools import reduce
-from itertools import count, product
+from itertools import count, islice, product
 from math import gcd, isqrt, lcm, prod
+from operator import mul
 
 from .errors import DomainError, ParseError, ShapeError, SymbolError
 from .polynomial import (
@@ -411,37 +413,73 @@ def _prime(k: int) -> int:
     return _PRIMES[k]
 
 
-def _rref_mod(m, cols, p):
-    """(pivot columns, pivot rows) of the reduced row echelon form of the
-    int rows m mod the prime p.  Pivot row r is kept from its pivot column
-    on: row[j - pivots[r]] is its entry in column j.  The rows are only
-    back-substituted when some column is free."""
-    rows = [[x % p for x in row] for row in m]
-    pivots, done = [], []
+def _echelon_mod(m, cols, p, jordan=1):
+    """(pivot columns, pivot rows) of a row echelon form mod the prime p of
+    the int rows m, each pivot row scaled to pivot 1 and kept after its
+    pivot column: done[r][j - pivots[r] - 1] is its entry in column j.
+
+    m is block upper-triangular Toeplitz with jordan block rows and blocks
+    of n = cols // jordan columns: its first len(m) // jordan rows are
+    block row 0, and block row i is block row 0 moved i blocks right and
+    cut to width.  Block row 0 is reduced once on its first n columns, at
+    full width.  Every block row is spanned by the moved copies of its
+    pivot rows, which are in echelon form, and of its defect rows, the rows
+    it left zero on those columns (in the last block row they are zero).
+    So the elimination goes on over the defect rows alone: a column that
+    is a pivot of block 0 in its own block takes that copy's row, and any
+    other column the first defect row nonzero there.  At jordan 1 this is
+    a plain forward elimination.
+
+    The pivot rows are reduced mod p; the rows still to be reduced are not
+    between steps, as each step adds at most p^2 to an entry.
+    """
+    n = cols // jordan
+    rows = [[x % p for x in row] for row in m[:len(m) // jordan]]
+    pivots, done, lead = [], [], {}
     for col in range(cols):
-        i = next((i for i, row in enumerate(rows) if row[col]), None)
-        if i is None:
-            continue
-        top = rows.pop(i)
-        inv = pow(top[col], -1, p)
-        tail = [x * inv % p for x in top[col + 1:]]
+        if col == n:
+            rows = [[0] * (i * n + n) + row[n:cols - i * n]
+                    for i in range(jordan - 1) for row in rows]
+        tail = lead.get(col % n) if col >= n else None
+        if tail is None:
+            i = next((i for i, row in enumerate(rows) if row[col] % p), None)
+            if i is None:
+                continue
+            top = rows.pop(i)
+            inv = pow(top[col], -1, p)
+            tail = [x * inv % p for x in top[col + 1:]]
+            if col < n:
+                lead[col] = tail
         for row in rows:
-            a = row[col]
+            a = row[col] % p
             if a:
-                row[col + 1:] = [(x - a * y) % p for x, y in zip(row[col + 1:], tail)]
+                row[col + 1:] = [x - a * y for x, y in zip(row[col + 1:], tail)]
         pivots.append(col)
-        done.append([1] + tail)
-        if not rows:
-            break
-    if len(pivots) < cols:
-        for r in range(len(done) - 1, 0, -1):
-            pc, below = pivots[r], done[r]
-            for s in range(r):
-                row, at = done[s], pc - pivots[s]
-                a = row[at]
-                if a:
-                    row[at:] = [(x - a * y) % p for x, y in zip(row[at:], below)]
+        done.append(tail)
     return pivots, done
+
+
+def _rref_mod(m, cols, p, jordan=1):
+    """(pivot columns, {free column f: its entries in the pivot rows before
+    f}) of the reduced row echelon form mod the prime p of the int rows m
+    (jordan as in _echelon_mod); the dict is empty at full column rank.
+
+    The reduced form mod p is unique, so its pivots and entries do not
+    depend on the order of the rows, and only the free columns are
+    back-substituted: from the last pivot row before f up, each entry is
+    minus the row's dot product with the entries found so far and -1 at f.
+    """
+    pivots, done = _echelon_mod(m, cols, p, jordan)
+    found = {}
+    for f in sorted(set(range(cols)).difference(pivots)):
+        # -1 at f and the entries of f in the later pivot rows at their pivots
+        u = [0] * (f + 1)
+        u[f] = p - 1
+        k = bisect(pivots, f)
+        for pc, tail in zip(reversed(pivots[:k]), reversed(done[:k])):
+            u[pc] = -sum(map(mul, tail, islice(u, pc + 1, None))) % p
+        found[f] = [u[pc] for pc in pivots[:k]]
+    return pivots, found
 
 
 def _reconstruct(u: int, modulus: int):
@@ -473,20 +511,23 @@ def _lift(m, pivots, residues, modulus):
                 return None
             values.append(q)
         den = lcm(*(q.denominator for q in values))
-        # den * v_f, on its support
-        support = [(pc, -q.numerator * (den // q.denominator))
-                   for pc, q in zip(pivots, values)]
-        support.append((f, den))
-        if any(sum(row[j] * w for j, w in support) for row in m):
+        # den * v_f
+        vec = [0] * len(m[0])
+        for pc, q in zip(pivots, values):
+            vec[pc] = -q.numerator * (den // q.denominator)
+        vec[f] = den
+        if any(sum(map(mul, row, vec)) for row in m):
             return None
         lifted[f] = values
     return lifted
 
 
-def _modular_rref(m, cols):
+def _modular_rref(m, cols, jordan=1):
     """(pivot columns, {free column f: Fraction entries of f in the pivot
     rows before f}) of the reduced row echelon form of the int rows m; the
-    entries in later pivot rows are 0.  See ExactMatrix.rref."""
+    entries in later pivot rows are 0.  At jordan >= 2, m is block
+    upper-triangular Toeplitz with block row 0 first (see _rref_mod), and
+    the lift is checked on all its rows.  See ExactMatrix.rref."""
     best, tried = None, 1
     for k in count():
         if k == 1:
@@ -499,16 +540,12 @@ def _modular_rref(m, cols):
             raise ArithmeticError("modular rref passed its prime bound")
         p = _prime(k)
         tried *= p
-        pivots, done = _rref_mod(m, cols, p)
-        if len(pivots) == cols:
+        pivots, found = _rref_mod(m, cols, p, jordan)
+        if not found:
             return pivots, {}
         # lists compare in greedy order: the first with a pivot where they
         # differ comes first, cols standing for "no more pivots"
         profile = pivots + [cols]
-        found = {
-            f: [row[f - pc] for row, pc in zip(done, pivots) if pc < f]
-            for f in range(cols) if f not in pivots
-        }
         if best is None or profile < best:
             # lift from this prime alone
             best, modulus, residues = profile, p, found
@@ -528,16 +565,16 @@ def _full_column_rank(m, cols) -> bool:
     """Whether the int rows m have a pivot in each of their cols columns
     mod the first prime.  True proves full column rank over Q, as rank mod
     p is at most the rank over Q; False proves nothing."""
-    return len(_rref_mod(m, cols, _prime(0))[0]) == cols
+    return len(_echelon_mod(m, cols, _prime(0))[0]) == cols
 
 
-def _int_null_space(m, cols):
+def _int_null_space(m, cols, jordan=1):
     """Basis of the right kernel of the int rows m with cols columns: for
     each free column f of the reduced form, in order, the Fraction vector
     with 1 at f, 0 at the other free columns and minus the lifted entries
     of f at the pivots before it (_modular_rref, so every vector is checked
-    exactly)."""
-    pivots, lifted = _modular_rref(m, cols)
+    exactly; jordan as there)."""
+    pivots, lifted = _modular_rref(m, cols, jordan)
     zero, one = Fraction(0), Fraction(1)
     basis = []
     for f, column in lifted.items():

@@ -448,14 +448,17 @@ def _blocks(table, mod: JordanVermaModule, ks) -> tuple:
     numeric or fully symbolic, each a list of rows, times scale.  Symbolic
     entries are {(a, b): int} term dicts of c^a h^b and scale is den.
     Numeric entries are summed in ints and scale is the common denominator
-    den * cd^A * hd^B, c = cn/cd and h = hn/hd.
+    den * cd^A * hd^B, c = cn/cd and h = hn/hd.  Block k takes C(b, k) from
+    one binomial row.
     """
     den, amax, bmax, rows = table
     if mod.symbolic:
         scale = den
 
-        def value(entry, k):
-            return {(a, b - k): num * comb(b, k) for num, a, b in entry if b >= k}
+        def block(k):
+            binom = [comb(b, k) for b in range(bmax + 1)]
+            return [[{(a, b - k): num * binom[b] for num, a, b in entry if b >= k}
+                     for entry in row] for row in rows]
     else:
         cn, cd = mod.c.numerator, mod.c.denominator
         hn, hd = mod.h.numerator, mod.h.denominator
@@ -463,11 +466,13 @@ def _blocks(table, mod: JordanVermaModule, ks) -> tuple:
         hpow = [hn**b * hd ** (bmax - b) for b in range(bmax + 1)]
         scale = den * cd**amax * hd**bmax
 
-        def value(entry, k):
-            return sum(num * comb(b, k) * cpow[a] * hpow[b - k]
-                       for num, a, b in entry if b >= k)
+        def block(k):
+            # C(b, k) h^(b - k) hd^B, by the power b of h
+            weight = [comb(b, k) * hpow[b - k] if b >= k else 0 for b in range(bmax + 1)]
+            return [[sum(num * cpow[a] * weight[b] for num, a, b in entry) for entry in row]
+                    for row in rows]
 
-    return [[[value(entry, k) for entry in row] for row in rows] for k in ks], scale
+    return [block(k) for k in ks], scale
 
 
 def _toeplitz(blocks, zero) -> list:
@@ -483,25 +488,29 @@ def _toeplitz(blocks, zero) -> list:
 
 def _kernel_rows(tables, mod: JordanVermaModule):
     """The int rows of the stacked tables on mod, each table's rows times
-    its own scale; None when their top block proves full column rank.
+    its own scale, grouped by top index; None when their top block proves
+    full column rank.
 
-    Grouped by top index, the matrix is block upper triangular, and its
-    diagonal block is the top block: the stacked block 0 of the tables,
-    their matrix on the jordan-1 module.  If the top block has full column
-    rank, so does the whole matrix, its last block column first.  At
-    jordan >= 2 the top block is reduced alone mod the first prime, which
-    can only prove full rank; otherwise the remaining blocks are evaluated
-    and assembled with block 0 for the certified kernel.  At jordan 1 the
-    top block is the whole matrix, and the kernel's first prime makes the
-    same test.
+    Grouped by top index, the matrix is block upper-triangular Toeplitz:
+    block row i is block row 0 moved i blocks right, and its diagonal
+    block is the top block, the stacked block 0 of the tables, their
+    matrix on the jordan-1 module.  If the top block has full column rank,
+    so does the whole matrix, its last block column first.  At jordan >= 2
+    the top block is reduced alone mod the first prime, which can only
+    prove full rank; otherwise the remaining blocks are evaluated and the
+    rows assembled, block row 0 first, for the certified kernel, which
+    reduces block row 0 once and carries it through the other block rows
+    (linalg._rref_mod).  At jordan 1 the top block is the whole matrix,
+    and the kernel's first prime makes the same test.
     """
-    tops = [_blocks(table, mod, range(1))[0] for table in tables]
-    top = [row for (block,) in tops for row in block]
-    if mod.jordan > 1 and _full_column_rank(top, len(top[0])):
+    top = [row for table in tables for row in _blocks(table, mod, range(1))[0][0]]
+    if mod.jordan == 1:
+        return top
+    if _full_column_rank(top, len(top[0])):
         return None
-    return [row
-            for table, (block,) in zip(tables, tops)
-            for row in _toeplitz([block] + _blocks(table, mod, range(1, mod.jordan))[0], 0)]
+    rest = [_blocks(table, mod, range(1, mod.jordan))[0] for table in tables]
+    return _toeplitz([top] + [[row for blocks in rest for row in blocks[k]]
+                              for k in range(mod.jordan - 1)], 0)
 
 
 @lru_cache(maxsize=None)
@@ -603,7 +612,7 @@ def radical_dimension(mod: JordanVermaModule, level: int) -> int:
     if rows is None:
         return 0
     cols = len(rows[0])
-    return cols - len(_modular_rref(rows, cols)[0])
+    return cols - len(_modular_rref(rows, cols, mod.jordan)[0])
 
 
 def singular_vectors(mod: JordanVermaModule, level: int) -> list:
@@ -627,7 +636,7 @@ def singular_vectors(mod: JordanVermaModule, level: int) -> list:
         return []
     basis = level_basis(mod, level)
     out = []
-    for vec in _int_null_space(rows, len(basis)):
+    for vec in _int_null_space(rows, len(basis), mod.jordan):
         terms = {
             label: coeff
             for label, coeff in zip(basis, vec)
