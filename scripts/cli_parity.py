@@ -26,6 +26,11 @@ The sweeps:
     weights; `shapovalov --symbolic`, and `det --symbolic` within the CLI's
     symbolic row cap; and the refusals of `singular` at level 0,
     `--jordan 0` and `--symbolic` with `--c` or `--h`;
+  - the deepest block shapes on the same weights, with and without
+    `--json`: `singular` and `radical` at `--jordan` 4 on levels 0-8 and at
+    every `--jordan` on levels 7 and 8 (up to 88 columns), and `hom-check`
+    at `--jordan` 1 and 2 on levels 7 and 8: 312 invocations, which take
+    1-3 s a tree on a 2-core x86 host;
   - in every `--cocycle` mode, with and without `--json`: `wlog bracket`
     and `wlog cocycle` on every pair of generators i:m with |i|, |m| <= 3,
     `wlog jacobi` at `--level` 1 and 2, and `wlog vev` on the words of the
@@ -57,6 +62,8 @@ T_VALUES = tuple(Fraction(p, q) for p, q in
 COCYCLES = ("none", "closed", "residue")
 WLOG_BOUND = 3
 PARTITION_COUNTS = (1, 1, 2, 3, 5, 7, 11)  # levels 0-6
+DEEP_LEVELS = (7, 8)  # the CLI's MAX_LEVEL is 8
+DEEP_JORDAN = 4  # virlog.cli.MAX_JORDAN
 SYMBOLIC_DET_ROWS = 15  # virlog.cli.MAX_SYMBOLIC_DET_ROWS
 GENERIC_WEIGHTS = ((Fraction(1, 3), Fraction(2, 7)), (Fraction(-7, 2), Fraction(5, 9)))
 
@@ -80,17 +87,22 @@ def _modules() -> list:
     """The module verbs, with and without --json, and their refusals."""
     formats = ([], ["--json"])
     argvs = []
-    for level, count in enumerate(PARTITION_COUNTS):
+    for level in (*range(len(PARTITION_COUNTS)), *DEEP_LEVELS):
         labels = [(r, level // r) for r in range(1, level + 1) if level % r == 0]
         weights = [_kac(T_VALUES[k % len(T_VALUES)], r, s) for k, (r, s) in enumerate(labels)]
-        for jordan in (1, 2, 3):
+        for jordan in range(1, DEEP_JORDAN + 1):
+            shallow = level < len(PARTITION_COUNTS) and jordan < DEEP_JORDAN
             sizes = ["--level", str(level), "--jordan", str(jordan)]
-            verbs = ["det", "singular", "radical"] + (["hom-check"] if jordan <= 2 else [])
+            verbs = (["det"] if shallow else []) + ["singular", "radical"] + (
+                ["hom-check"] if jordan <= 2 else [])
             for c, h in weights + list(GENERIC_WEIGHTS):
                 argvs += [[verb, "--c", str(c), "--h", str(h)] + sizes + fmt
                           for verb in verbs for fmt in formats]
-            symbolic = ["shapovalov"] + (["det"] if jordan * count <= SYMBOLIC_DET_ROWS else [])
-            argvs += [[verb, "--symbolic"] + sizes + fmt for verb in symbolic for fmt in formats]
+            if shallow:
+                symbolic = ["shapovalov"] + (
+                    ["det"] if jordan * PARTITION_COUNTS[level] <= SYMBOLIC_DET_ROWS else [])
+                argvs += [[verb, "--symbolic"] + sizes + fmt
+                          for verb in symbolic for fmt in formats]
     argvs += [["singular", "--c", "1", "--h", "1", "--level", "0"]]
     argvs += [[verb, "--c", "1", "--h", "1", "--level", "2", "--jordan", "0"]
               for verb in ("det", "singular", "radical", "hom-check")]

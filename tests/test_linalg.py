@@ -5,7 +5,9 @@ and, over Q[vars], against sparse Bareiss elimination on term dicts
 (tests/sparse_bareiss.py) on random small matrices.  The modular rref is
 cross-checked against Gauss-Jordan over Fraction and fraction-free
 Gauss-Jordan in Z (tests/gauss_jordan.py), and kernels are verified by
-multiplying back.
+multiplying back.  The block reduction of Toeplitz matrices is
+cross-checked against a plain Gauss-Jordan mod p and against the plain
+elimination of the assembled rows.
 """
 
 from fractions import Fraction
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 from virlog import linalg
 from virlog.errors import DomainError, ShapeError
-from virlog.linalg import ExactMatrix, _prime, _reconstruct
+from virlog.linalg import ExactMatrix, _int_null_space, _prime, _reconstruct, _rref_mod
 from virlog.polynomial import MultiPoly, coeff_to_json, sym
 
 from cofactor_determinant import determinant_cofactor
@@ -500,3 +502,84 @@ def test_a_later_profile_is_skipped(monkeypatch):
     reduced, pivots = ExactMatrix(as_fractions([[P1, 0, 1], [0, 1, 1]])).rref()
     assert (pivots, reduced.entries[0][2]) == ([0, 1], Fraction(1, P1))
     assert used == [0, 1, 2, 3]
+
+
+# -- the block reduction of Toeplitz matrices -----------------------------------
+
+
+def rref_mod_reference(rows, cols, p):
+    """(pivots, {free column f: its entries in the pivot rows before f}) of
+    the reduced row echelon form mod p, by plain Gauss-Jordan."""
+    m = [[x % p for x in row] for row in rows]
+    pivots = []
+    for col in range(cols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if i is None:
+            continue
+        m[r], m[i] = m[i], m[r]
+        inv = pow(m[r][col], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for k, row in enumerate(m):
+            if k != r and row[col]:
+                m[k] = [(x - row[col] * y) % p for x, y in zip(row, m[r])]
+        pivots.append(col)
+    return pivots, {f: [m[r][f] for r, pc in enumerate(pivots) if pc < f]
+                    for f in range(cols) if f not in pivots}
+
+
+toeplitz_entries = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2**200), 2**200),
+    st.integers(-3, 3).map(lambda x: x * P0),
+)
+
+
+@st.composite
+def toeplitz_matrices(draw):
+    """(rows, cols, jordan): a block upper-triangular Toeplitz int matrix
+    of jordan 1-4 block rows, blocks 1-8 columns wide, and each block row
+    1-2 stacked groups of rows, up to two more than the width.  Block row 0
+    comes first and block row i is block row 0 moved i blocks right.  The
+    top block is often singular (zero columns, zero or repeated rows) and
+    some of its columns are multiples of P0, so P0 can be unlucky."""
+    jordan, n = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    if jordan * n > 20:
+        n = 20 // jordan
+    cols = jordan * n
+    zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    p0_cols = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    top = []
+    for _ in range(draw(st.integers(1, 2))):
+        group = []
+        for _ in range(draw(st.integers(1, n + 2))):
+            head = [0 if j in zero_cols else draw(toeplitz_entries) * (P0 if j in p0_cols else 1)
+                    for j in range(n)]
+            group.append(head + [draw(toeplitz_entries) for _ in range(cols - n)])
+        for i, k in draw(st.lists(st.tuples(st.integers(0, len(group) - 1),
+                                            st.integers(0, len(group) - 1)), max_size=2)):
+            group[i] = list(group[k])
+        for i in draw(st.sets(st.integers(0, len(group) - 1), max_size=1)):
+            group[i][:n] = [0] * n
+        top += group
+    rows = [[0] * (i * n) + row[:cols - i * n] for i in range(jordan) for row in top]
+    return rows, cols, jordan
+
+
+@given(toeplitz_matrices())
+@settings(max_examples=150, deadline=None)
+def test_block_reduction_matches_plain_elimination(case):
+    rows, cols, jordan = case
+    for p in (P0, P1):
+        want = rref_mod_reference(rows, cols, p)
+        assert _rref_mod(rows, cols, p, jordan) == want
+        assert _rref_mod(rows, cols, p) == want
+    reduced, pivots = int_gauss_jordan(rows)
+    kernel = []
+    for f in (f for f in range(cols) if f not in pivots):
+        vec = [Fraction(0)] * cols
+        vec[f] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -reduced[r][f]
+        kernel.append(vec)
+    assert _int_null_space(rows, cols, jordan) == kernel
