@@ -1,12 +1,15 @@
 """Rational roots by divisor enumeration: the reference the tests check
 polynomial.rational_roots against.
 
-Every rational root a/b of an integer polynomial has a | trailing and
-b | leading coefficient, so it tries each such candidate in Fraction
-arithmetic and divides each root out as often as it goes, by its own
-synthetic division.  It shares nothing with the real-root isolation of the
-package but UniPoly, and it takes time of the order of the square root of
-the two coefficients, so the tests keep its inputs small.
+Every rational root a/b in lowest terms of an integer polynomial has
+a | trailing and b | leading coefficient.  The caller names the primes
+that can divide those coefficients; the divisors are built from them, and
+the oracle fails unless they factor both coefficients up to sign.  It
+tries the candidates a/b in Fraction arithmetic, smallest a first, and
+divides the first root it finds out as often as it goes, by its own
+synthetic division; then it starts again on the deflated polynomial,
+whose coefficients have fewer divisors.  It shares nothing with the
+real-root isolation of the package but UniPoly.
 """
 
 from fractions import Fraction
@@ -15,17 +18,17 @@ from math import gcd, lcm
 from virlog.polynomial import UniPoly
 
 
-def _divisors(n: int):
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _divisors(n: int, primes):
+    """The positive divisors of n != 0, built from the primes, which must
+    factor n up to sign."""
+    divisors = [1]
+    for q in primes:
+        e = 0
+        while n % q == 0:
+            n, e = n // q, e + 1
+        divisors = [d * q**k for d in divisors for k in range(e + 1)]
+    assert abs(n) == 1, f"the primes leave the cofactor {n}"
+    return sorted(divisors)
 
 
 def _divide_linear(p: UniPoly, r: Fraction):
@@ -38,8 +41,24 @@ def _divide_linear(p: UniPoly, r: Fraction):
     return UniPoly(p.var, coeffs[::-1]), rem
 
 
-def rational_roots_by_divisors(p: UniPoly):
-    """(roots, residual) as rational_roots returns them."""
+def _first_root(p: UniPoly, primes):
+    """The first candidate a/b that is a root of p (degree >= 1, p(0) != 0),
+    or None."""
+    den = lcm(*[c.denominator for c in p.coeffs])
+    ints = [int(c * den) for c in p.coeffs]
+    for a in _divisors(ints[0], primes):
+        for b in _divisors(ints[-1], primes):
+            if gcd(a, b) == 1:
+                for cand in (Fraction(a, b), Fraction(-a, b)):
+                    if not _divide_linear(p, cand)[1]:
+                        return cand
+    return None
+
+
+def rational_roots_by_divisors(p: UniPoly, primes):
+    """(roots, residual) as rational_roots returns them; primes must
+    include every prime that divides p's leading or trailing coefficient
+    once p is scaled to a primitive integer polynomial."""
     roots = []
     work = p.monic()
 
@@ -51,25 +70,15 @@ def rational_roots_by_divisors(p: UniPoly):
     if k:
         roots.append((Fraction(0), k))
 
-    if work.degree() >= 1:
-        den = lcm(*[c.denominator for c in work.coeffs])
-        ints = [int(c * den) for c in work.coeffs]
-        g = gcd(*ints)
-        ints = [v // g for v in ints]
-        trailing, leading = ints[0], ints[-1]
-        seen = set()
-        for a in _divisors(trailing):
-            for b in _divisors(leading):
-                for cand in (Fraction(a, b), Fraction(-a, b)):
-                    if cand in seen:
-                        continue
-                    seen.add(cand)
-                    mult = 0
-                    q, rem = _divide_linear(work, cand)
-                    while not rem:
-                        work, mult = q, mult + 1
-                        q, rem = _divide_linear(work, cand)
-                    if mult:
-                        roots.append((cand, mult))
+    while work.degree() >= 1:
+        root = _first_root(work, primes)
+        if root is None:
+            break
+        mult = 0
+        q, rem = _divide_linear(work, root)
+        while not rem:
+            work, mult = q, mult + 1
+            q, rem = _divide_linear(work, root)
+        roots.append((root, mult))
     roots.sort(key=lambda rm: rm[0])
     return roots, work.monic()

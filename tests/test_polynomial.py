@@ -7,6 +7,7 @@ checked against hand-computed expectations (small enough to verify by eye).
 from collections import Counter
 from datetime import timedelta
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -333,12 +334,17 @@ def rooted_unipolys(draw):
     return p if rest.is_zero() else p * rest
 
 
+# every prime of a root's numerator (at most 60) or denominator (at most
+# 5) or of the rest's coefficients cleared of denominators (at most 600)
+PRIMES_BELOW_600 = [q for q in range(2, 600) if all(q % r for r in range(2, isqrt(q) + 1))]
+
+
 # the oracle's time, not the tested code's, varies with the draw
 @settings(max_examples=200, deadline=None)
 @given(rooted_unipolys())
 def test_rational_roots_match_divisor_enumeration(p):
     roots, residual = rational_roots(p)
-    want_roots, want_residual = rational_roots_by_divisors(p)
+    want_roots, want_residual = rational_roots_by_divisors(p, PRIMES_BELOW_600)
     assert roots == want_roots
     assert residual.coeffs == want_residual.coeffs
 
@@ -365,39 +371,44 @@ def test_rational_roots_with_huge_coefficients(factors, rootless):
 
 @st.composite
 def close_rooted_unipolys(draw):
-    """8 to 12 distinct roots k / d with one shared denominator d and small
-    numerators k, one of them doubled, times a rootless factor: each
-    rational root found deflates g before the next one is refined."""
+    """8 to 12 distinct roots k / d with one shared denominator d <= 10 and
+    numerators |k| <= 9, up to three of them doubled, times a rootless
+    factor: each rational root found deflates g before the next one is
+    refined."""
     x = UniPoly.x("s")
-    d = draw(st.integers(5, 7))
-    numerators = draw(st.lists(st.integers(-7, 7).filter(bool), min_size=8, max_size=12,
+    d = draw(st.integers(2, 10))
+    numerators = draw(st.lists(st.integers(-9, 9).filter(bool), min_size=8, max_size=12,
                                unique=True))
-    p = draw(st.sampled_from(ROOTLESS)) * (x - Fraction(numerators[0], d))
+    doubled = draw(st.sets(st.sampled_from(numerators), min_size=1, max_size=3))
+    p = draw(st.sampled_from(ROOTLESS))
     for k in numerators:
-        p = p * (x - Fraction(k, d))
+        p = p * (x - Fraction(k, d)) ** (2 if k in doubled else 1)
     return p
 
 
-# the oracle enumerates the divisors of up to d^13 and of the numerators'
-# product by trial division, which bounds d and the numerators
+# the numerators, d and the rootless factors' end coefficients are
+# products of these primes
 @settings(max_examples=25, deadline=None)
 @given(close_rooted_unipolys())
 def test_rational_roots_of_close_roots_match_divisor_enumeration(p):
     roots, residual = rational_roots(p)
-    want_roots, want_residual = rational_roots_by_divisors(p)
+    want_roots, want_residual = rational_roots_by_divisors(p, (2, 3, 5, 7))
     assert roots == want_roots
     assert residual.coeffs == want_residual.coeffs
 
 
-@pytest.mark.parametrize("p", [
-    UniPoly("s", (-1, 3)) * UniPoly("s", (2, 5)),
-    UniPoly("s", (-1, 3)) ** 2 * UniPoly("s", (2, 5)) ** 3 * UniPoly("s", (7, 0, 1)),
-    UniPoly("s", (-10**6, 1001)) * UniPoly("s", (-(10**6 + 1), 1001)),
+@pytest.mark.parametrize("p, primes", [
+    (UniPoly("s", (-1, 3)) * UniPoly("s", (2, 5)), (2, 3, 5)),
+    (UniPoly("s", (-1, 3)) ** 2 * UniPoly("s", (2, 5)) ** 3 * UniPoly("s", (7, 0, 1)),
+     (2, 3, 5, 7)),
+    # 10^6 + 1 = 101 * 9901 and 1001 = 7 * 11 * 13
+    (UniPoly("s", (-10**6, 1001)) * UniPoly("s", (-(10**6 + 1), 1001)),
+     (2, 5, 7, 11, 13, 101, 9901)),
 ])
-def test_rational_roots_when_the_deflated_g_is_linear(p):
+def test_rational_roots_when_the_deflated_g_is_linear(p, primes):
     # after the first root is divided out, the second is refined on a linear g
     roots, residual = rational_roots(p)
-    want_roots, want_residual = rational_roots_by_divisors(p)
+    want_roots, want_residual = rational_roots_by_divisors(p, primes)
     assert roots == want_roots
     assert residual.coeffs == want_residual.coeffs
 
