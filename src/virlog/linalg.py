@@ -22,6 +22,15 @@ reconstruction).  Rank mod p is at most the rank over Q, so full column rank
 mod one prime is full rank over Q.  Otherwise each lifted kernel vector is
 checked exactly, M v = 0 in ints, and the checks prove the whole form: see
 ExactMatrix.rref.
+
+The matrices of a Jordan module are block upper-triangular Toeplitz: block
+row i is block row 0 moved i blocks right.  Mod p, block row 0 is reduced
+once on its first block of columns, the top block, and its pivot rows,
+moved into every block row, are already in echelon form; only the rows
+the top block leaves zero, one or two on the Kac table, are reduced
+further (_echelon_mod).  Full column rank mod p is the top block's.  The
+reduced form mod p is unique, so its pivots and entries are those of a
+plain elimination, and only its free columns are back-substituted.
 """
 
 from __future__ import annotations

@@ -39,7 +39,9 @@ is the matrix on the jordan-1 module, and a block upper-triangular matrix
 whose diagonal block has full column rank has full column rank; so at
 jordan >= 2 the radical and the singular vectors first reduce that block
 alone mod a prime, and only when that does not prove full rank are the
-other blocks evaluated and the whole matrix reduced and lifted.
+other blocks evaluated and the whole matrix reduced and lifted.  That
+reduction follows the Toeplitz structure: block row 0 is reduced once and
+carried through the other block rows (linalg._echelon_mod).
 """
 
 from __future__ import annotations
@@ -500,7 +502,7 @@ def _kernel_rows(tables, mod: JordanVermaModule):
     prove full rank; otherwise the remaining blocks are evaluated and the
     rows assembled, block row 0 first, for the certified kernel, which
     reduces block row 0 once and carries it through the other block rows
-    (linalg._rref_mod).  At jordan 1 the top block is the whole matrix,
+    (linalg._echelon_mod).  At jordan 1 the top block is the whole matrix,
     and the kernel's first prime makes the same test.
     """
     top = [row for table in tables for row in _blocks(table, mod, range(1))[0][0]]
@@ -601,10 +603,13 @@ def shapovalov_determinant(mod: JordanVermaModule, level: int) -> Coeff:
 def radical_dimension(mod: JordanVermaModule, level: int) -> int:
     """Dimension of the right radical of the form at the given level.
 
-    The Gram matrix is block upper triangular in the top index with the
-    jordan-1 Gram matrix on its diagonal, so full rank of that block mod a
-    prime settles the answer at 0 (_kernel_rows); otherwise it is the
-    number of free columns of the certified reduced form of the int rows.
+    The Gram matrix is block upper-triangular Toeplitz in the top index
+    with the jordan-1 Gram matrix on its diagonal, so full rank of that
+    block mod a prime settles the answer at 0 (_kernel_rows); otherwise it
+    is the number of free columns of the certified reduced form of the int
+    rows, whose elimination mod p reduces the first block row once and
+    carries it through the others, updating only the rows the diagonal
+    block leaves zero.
     """
     mod.require_numeric("radical computation")
     # the kernel does not depend on the common scale of the int rows
@@ -621,11 +626,12 @@ def singular_vectors(mod: JordanVermaModule, level: int) -> list:
 
     L(1), L(2) generate all positive modes under bracketing, so this kernel
     is exactly the space of singular vectors.  The stacked L(1), L(2)
-    matrix is block upper triangular in the top index with the jordan-1
-    stacked matrix on its diagonal, so full column rank of that block mod
-    a prime settles the answer as [] (_kernel_rows); otherwise the basis is
-    read from the certified kernel of the int rows, each vector checked
-    exactly.
+    matrix is block upper-triangular Toeplitz in the top index with the
+    jordan-1 stacked matrix on its diagonal, so full column rank of that
+    block mod a prime settles the answer as [] (_kernel_rows); otherwise
+    the basis is read from the certified kernel of the int rows, reduced
+    mod p block row by block row as in radical_dimension, each vector
+    checked exactly.
     """
     mod.require_numeric("singular vector computation")
     if level < 1:
