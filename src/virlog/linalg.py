@@ -425,7 +425,8 @@ def _prime(k: int) -> int:
 def _echelon_mod(m, cols, p, jordan=1):
     """(pivot columns, pivot rows) of a row echelon form mod the prime p of
     the int rows m, each pivot row scaled to pivot 1 and kept after its
-    pivot column: done[r][j - pivots[r] - 1] is its entry in column j.
+    pivot column: done[r][j - pivots[r] - 1] is its entry in column
+    j < cols.
 
     m is block upper-triangular Toeplitz with jordan block rows and blocks
     of n = cols // jordan columns: its first len(m) // jordan rows are
