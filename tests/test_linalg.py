@@ -521,8 +521,9 @@ def rref_mod_reference(rows, cols, p):
         inv = pow(m[r][col], -1, p)
         m[r] = [x * inv % p for x in m[r]]
         for k, row in enumerate(m):
-            if k != r and row[col]:
-                m[k] = [(x - row[col] * y) % p for x, y in zip(row, m[r])]
+            a = row[col]
+            if k != r and a:
+                m[k] = [(x - a * y) % p for x, y in zip(row, m[r])]
         pivots.append(col)
     return pivots, {f: [m[r][f] for r, pc in enumerate(pivots) if pc < f]
                     for f in range(cols) if f not in pivots}
