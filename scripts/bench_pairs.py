@@ -18,17 +18,21 @@ end-to-end metric the median and quartiles of each side, the number of
 pairs the working tree won (ties count for neither side), the ratio of
 the medians, and past_bound: whether the working tree's median is worse
 than the base's by more than the metric's BENCHMARK.json bound, read as a
-fraction of the base's median.  It is rewritten after every run, so an
-interrupted run keeps what it measured.  At the end of each workload
-one line per end-to-end metric goes to stderr with the median ratio, the
-wins and, when past_bound holds, PAST BOUND.  The exit code does not
-depend on it.
+fraction of the base's median.  Its host block records the Python
+version, the machine and whether the runs write bytecode
+(PYTHONDONTWRITEBYTECODE unset): without a bytecode cache each run
+compiles src/ during set-up, which setup_s takes in.  The JSON is
+rewritten after every run, so an interrupted run keeps what it measured.
+At the end of each workload one line per end-to-end metric goes to
+stderr with the median ratio, the wins and, when past_bound holds, PAST
+BOUND.  The exit code does not depend on it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -138,7 +142,8 @@ def main(argv=None) -> int:
         "pairs": PAIRS,
         "first_seed": FIRST_SEED,
         "host": {"python": platform.python_version(), "machine": platform.machine(),
-                 "processor": platform.processor()},
+                 "processor": platform.processor(),
+                 "writes_bytecode": not os.environ.get("PYTHONDONTWRITEBYTECODE")},
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:

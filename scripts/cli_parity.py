@@ -35,6 +35,11 @@ The sweeps:
     and `wlog cocycle` on every pair of generators i:m with |i|, |m| <= 3,
     `wlog jacobi` at `--level` 1 and 2, and `wlog vev` on the words of the
     `$ virlog wlog vev ...` examples of README.md;
+  - the `fixture` listing, with and without `--json` (`fixture <id>` and
+    `report` print seconds, so they stay out);
+  - usage errors and help: an unknown verb, `singular` without `--level`,
+    a decimal `--c 0.5`, `--jordan x`, `--help`, `singular --help`, `wlog`
+    with no op and `wlog bracket` with one generator;
   - the `$ virlog ...` examples of README.md.
 """
 
@@ -127,6 +132,23 @@ def _wlog(readme: list) -> list:
     return argvs
 
 
+def _usage() -> list:
+    """The fixture listing, and the usage errors and help of the parser."""
+    module = ["--c", "1", "--h", "1"]
+    return [
+        ["fixture"],
+        ["fixture", "--json"],
+        ["no-such-verb"],
+        ["singular", *module],
+        ["singular", "--c", "0.5", "--h", "1", "--level", "2"],
+        ["singular", *module, "--level", "2", "--jordan", "x"],
+        ["--help"],
+        ["singular", "--help"],
+        ["wlog"],
+        ["wlog", "bracket", "1:1"],
+    ]
+
+
 def sweeps() -> list:
     argvs = []
     for m in range(1, 5):
@@ -142,7 +164,7 @@ def sweeps() -> list:
         argvs += [["determine-b", "--h", h], ["determine-b", "--h", h, "--json"]]
     readme = [shlex.split(line)[2:] for line in (ROOT / "README.md").read_text().splitlines()
               if line.startswith("$ virlog ")]
-    return argvs + _modules() + _wlog(readme) + readme
+    return argvs + _modules() + _wlog(readme) + _usage() + readme
 
 
 def worker() -> int:

@@ -16,7 +16,6 @@ import sys
 from fractions import Fraction
 
 from .errors import DomainError, VirlogError
-from .fixtures import fixture_ids, report_exit_code, report_table, run_all, run_fixture
 from .fusion import (
     EulerOperator,
     LogSeries,
@@ -218,6 +217,8 @@ def _cmd_determine_b(args):
 
 
 def _cmd_fixture(args):
+    from .fixtures import fixture_ids, report_table, run_fixture
+
     if args.id is None:
         ids = fixture_ids()
         return (ids if args.json else "\n".join(ids)), 0
@@ -229,6 +230,8 @@ def _cmd_fixture(args):
 
 
 def _cmd_report(args):
+    from .fixtures import report_exit_code, report_table, run_all
+
     results = run_all()
     code = report_exit_code(results)
     if args.json:

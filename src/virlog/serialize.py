@@ -7,17 +7,12 @@ every rational prints in lowest terms as "p/q".
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 
 from .errors import DomainError
-from .fusion import EulerOperator, LogSeries
-from .linalg import ExactMatrix
-from .modules import JordanVermaModule, ModuleVector
-from .polynomial import MultiPoly, UniPoly
 from .rational import parse_rational, render_rational
-from .virasoro import UEAElement
-from .wlog import WLogElement
 
 
 def to_document(value):
@@ -68,24 +63,35 @@ def serialize(value, format: str = "text") -> str:
     raise DomainError(f"unknown serialization format {format!r}")
 
 
-_PARSERS = {
-    "rational": lambda doc: parse_rational(doc),
-    "multipoly": MultiPoly.from_json,
-    "unipoly": UniPoly.from_json,
-    "matrix": ExactMatrix.from_json,
-    "module": JordanVermaModule.from_json,
-    "module-vector": ModuleVector.from_json,
-    "enveloping": UEAElement.from_json,
-    "euler-operator": EulerOperator.from_json,
-    "log-series": LogSeries.from_json,
-    "wlog-element": WLogElement.from_json,
-}
+@functools.cache
+def _parsers() -> dict:
+    """The from_json parser of each value kind.  Their modules load on the
+    first call, so that serializing needs none of them."""
+    from .fusion import EulerOperator, LogSeries
+    from .linalg import ExactMatrix
+    from .modules import JordanVermaModule, ModuleVector
+    from .polynomial import MultiPoly, UniPoly
+    from .virasoro import UEAElement
+    from .wlog import WLogElement
+
+    return {
+        "rational": parse_rational,
+        "multipoly": MultiPoly.from_json,
+        "unipoly": UniPoly.from_json,
+        "matrix": ExactMatrix.from_json,
+        "module": JordanVermaModule.from_json,
+        "module-vector": ModuleVector.from_json,
+        "enveloping": UEAElement.from_json,
+        "euler-operator": EulerOperator.from_json,
+        "log-series": LogSeries.from_json,
+        "wlog-element": WLogElement.from_json,
+    }
 
 
 def deserialize(document: str, kind: str):
     """Inverse of serialize(value, "json") given the value's kind."""
     try:
-        parser = _PARSERS[kind]
+        parser = _parsers()[kind]
     except KeyError:
         raise DomainError(f"unknown value kind {kind!r}") from None
     doc = json.loads(document)

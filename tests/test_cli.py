@@ -363,7 +363,7 @@ def test_failing_fixture_exits_two(capsys, monkeypatch):
     def broken(fixture_id):
         return FixtureResult(fixture_id, "published", "fail", "x", "y", 0.0)
 
-    monkeypatch.setattr("virlog.cli.run_fixture", broken)
+    monkeypatch.setattr("virlog.fixtures.run_fixture", broken)
     code, out, _ = run(capsys, "fixture", "01-appendix-matrix")
     assert code == 2
     assert "fail" in out
