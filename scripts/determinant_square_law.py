@@ -5,8 +5,8 @@ rank-2 Jordan module, both symbolic in (c, h).
 For each level prints the basis size, the wall time of both determinants,
 and whether det S_2 = (det S)^2 holds.  Measured with `--max-level 6` on a
 shared 2-core x86-64 machine with Python 3.11 whose speed varies: levels
-1-4 take 0.06 s together, level 5 (7x7 and 14x14) 0.83 s, and level 6
-(11x11 and 22x22) 65 s, nearly all of it the 22x22 determinant.  The
+1-4 take 0.02 s together, level 5 (7x7 and 14x14) 0.41 s, and level 6
+(11x11 and 22x22) 39 s, nearly all of it the 22x22 determinant.  The
 default stops at level 5, the largest level the acceptance fixture covers.
 """
 

@@ -26,7 +26,7 @@ from .fusion import (
 )
 from .modules import (
     JordanVermaModule,
-    check_hom_pair,
+    _hom_certificate,
     partitions,
     radical_dimension,
     shapovalov_determinant,
@@ -45,7 +45,7 @@ from .wlog import _COCYCLES, CENTRAL, _cocycle_fn, check_jacobi, vacuum_expectat
 # slowest words found by a local search take 0.5 s at 7 factors, 2 s at 8
 # and 10 s at 9 (shared 2-core x86-64 host, Python 3.11).  A symbolic
 # determinant's time grows steeply with its row count: at 15 rows level 7
-# takes about 8 s, 22 rows (level 6, jordan 2) about 65 s.  An euler-solve
+# takes about 6 s, 22 rows (level 6, jordan 2) about 39 s.  An euler-solve
 # operator's largest derivative order is the degree of its indicial
 # polynomial: the slowest root finding found, 32 or 64 close rational roots
 # with 7-digit denominators, takes 0.6 s at degree 32 and 7 s at 64.  The
@@ -169,19 +169,8 @@ def _cmd_hom_check(args):
     if mod.jordan > 2:
         # refused up front, so the answer does not depend on the weight
         raise DomainError("homomorphism certificate needs a jordan-size-2 target")
-    found = singular_vectors(mod, args.level)
-    weight = mod.h_value() + args.level
-    certified = False
-    for s2 in found:
-        # nilpotent part of L(0) on the singular space; a Jordan partner
-        # paired with its own image certifies the embedding
-        s1 = s2.apply_mode(0) - s2.scale(weight)
-        if s1.is_zero():
-            continue
-        if check_hom_pair(s1, s2):
-            certified = True
-            break
-    return {"certified": certified, "singular-dimension": len(found)}, 0
+    certified, dimension = _hom_certificate(mod, args.level)
+    return {"certified": certified, "singular-dimension": dimension}, 0
 
 
 def _cmd_fusion(args):

@@ -620,6 +620,15 @@ def radical_dimension(mod: JordanVermaModule, level: int) -> int:
     return cols - len(_modular_rref(rows, cols, mod.jordan)[0])
 
 
+def _singular_rows(mod: JordanVermaModule, level: int):
+    """The stacked L(1), L(2) int rows at the level, or None (_kernel_rows)."""
+    mod.require_numeric("singular vector computation")
+    if level < 1:
+        raise DomainError("singular vectors live at positive levels")
+    # the kernel does not depend on the common scale of each block of rows
+    return _kernel_rows([_lowering_table(level, gen) for gen in (1, 2) if gen <= level], mod)
+
+
 def singular_vectors(mod: JordanVermaModule, level: int) -> list:
     """Basis of the joint kernel of L(1) and L(2) at the given level,
     each vector scaled so its first nonzero coefficient is 1.
@@ -633,11 +642,7 @@ def singular_vectors(mod: JordanVermaModule, level: int) -> list:
     mod p block row by block row as in radical_dimension, each vector
     checked exactly.
     """
-    mod.require_numeric("singular vector computation")
-    if level < 1:
-        raise DomainError("singular vectors live at positive levels")
-    # the kernel does not depend on the common scale of each block of rows
-    rows = _kernel_rows([_lowering_table(level, gen) for gen in (1, 2) if gen <= level], mod)
+    rows = _singular_rows(mod, level)
     if rows is None:
         return []
     basis = level_basis(mod, level)
@@ -652,12 +657,31 @@ def singular_vectors(mod: JordanVermaModule, level: int) -> list:
     return out
 
 
+def _hom_certificate(mod: JordanVermaModule, level: int) -> tuple:
+    """(certified, singular dimension) of the hom-check verb, jordan <= 2.
+
+    s1 = (L(0) - h - level) s2 is the top-2 part of a singular vector s2
+    moved onto top index 1, so it is singular ([L(k), L(0)] = k L(k)) and
+    an L(0) eigenvector, and check_hom_pair(s1, s2) holds exactly when s1
+    is nonzero.  A kernel basis vector is supported on the columns up to
+    its free column, top index 1 first, so that happens exactly when a
+    free column is in the top-2 half.
+    """
+    rows = _singular_rows(mod, level)
+    if rows is None:
+        return False, 0
+    free = _modular_rref(rows, len(rows[0]), mod.jordan)[1]
+    return any(f >= len(partitions(level)) for f in free), len(free)
+
+
 def check_hom_pair(s1: ModuleVector, s2: ModuleVector) -> bool:
     """Certify that v' -> s1, w' -> s2 extends to a homomorphism
     M_2(c, h+N) -> M_2(c, h).
 
     Conditions: both vectors annihilated by L(1) and L(2); L(0)s1 = (h+N)s1;
-    L(0)s2 = (h+N)s2 + s1.
+    L(0)s2 = (h+N)s2 + s1.  This is the library certificate behind fixture
+    04b and the test oracle of the hom-check verb, which reads its answer
+    from the kernel instead (_hom_certificate).
     """
     if s1.module != s2.module:
         raise ShapeError("target vectors live in different modules")

@@ -18,8 +18,16 @@ import pytest
 from virlog.cli import main
 from virlog.fusion import EulerOperator, LogSeries, fusion_indicial
 from virlog.fixtures import FixtureResult, report_table
-from virlog.modules import JordanVermaModule, shapovalov_determinant, shapovalov_matrix
+from virlog.modules import (
+    JordanVermaModule,
+    ModuleVector,
+    shapovalov_determinant,
+    shapovalov_matrix,
+)
 from virlog.serialize import deserialize
+
+from hom_check_oracle import hom_check
+from test_modules import SWEEP_T, _kac
 
 
 def run(capsys, *argv):
@@ -68,10 +76,45 @@ def test_singular_and_radical_numeric(capsys):
     assert out.strip() == "2"
 
 
-def test_hom_check_certifies(capsys):
+def test_hom_check_certifies(capsys, monkeypatch):
+    # the verb reads its answer from the kernel, not from the mode action
+    def never(*args, **kwargs):
+        raise AssertionError("mode action used")
+
+    monkeypatch.setattr(ModuleVector, "apply_mode", never)
     code, out, _ = run(capsys, "hom-check", "--c", "1", "--h", "1", "--level", "3")
-    assert code == 0
-    assert "certified: true" in out
+    assert (code, out) == (0, "certified: true\nsingular-dimension: 2\n")
+
+
+@pytest.mark.parametrize("argv, want", [
+    # a Kac weight whose singular vector has no Jordan partner, at either size
+    (["--c", "1", "--h", "0", "--level", "1"], "certified: false\nsingular-dimension: 1\n"),
+    (["--c", "1", "--h", "0", "--level", "1", "--jordan", "1"],
+     "certified: false\nsingular-dimension: 1\n"),
+    (["--c", "1", "--h", "1/4", "--level", "2", "--json"],
+     '{\n  "certified": true,\n  "singular-dimension": "2"\n}\n'),
+    # a generic weight: no singular vectors at all
+    (["--c", "1/3", "--h", "2/7", "--level", "3"], "certified: false\nsingular-dimension: 0\n"),
+])
+def test_hom_check_answers(capsys, argv, want):
+    assert run(capsys, "hom-check", *argv) == (0, want, "")
+
+
+@pytest.mark.parametrize("level", range(1, 8))
+def test_hom_check_matches_fraction_oracle(capsys, level):
+    # every Kac weight h_{r,s} with rs = level at the benchmark's t, and two
+    # generic weights
+    weights = [_kac(t, r, level // r) for t in SWEEP_T
+               for r in range(1, level + 1) if level % r == 0]
+    weights += [(Fraction(1, 3), Fraction(2, 7)), (Fraction(-7, 2), Fraction(5, 9))]
+    for c, h in weights:
+        for jordan in (1, 2):
+            code, out, _ = run(capsys, "hom-check", "--c", str(c), "--h", str(h),
+                               "--level", str(level), "--jordan", str(jordan), "--json")
+            doc = json.loads(out)
+            got = {"certified": doc["certified"],
+                   "singular-dimension": int(doc["singular-dimension"])}
+            assert (code, got) == (0, hom_check(JordanVermaModule(c, h, jordan), level))
 
 
 @pytest.mark.parametrize("jordan", ["3", "4"])

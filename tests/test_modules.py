@@ -11,6 +11,7 @@ frozen against published closed forms.
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -697,6 +698,30 @@ def test_hom_pair_shape_errors():
     plain = JordanVermaModule(Fraction(1), Fraction(1))
     with pytest.raises(DomainError):
         check_hom_pair(basis_vector(plain, (1,)), basis_vector(plain, (1,)))
+
+
+def test_hom_certificate_rests_on_the_nilpotent_part():
+    # jordan-2 Kac weights h_{r,s}, rs = level, at levels 1-6 and the
+    # benchmark's t: a singular vector with a top-2 (w) part is certified
+    # with its image under L(0) - (h + level), that part moved onto v
+    answers = Counter()
+    for level in range(1, 7):
+        for t in SWEEP_T:
+            for r in (r for r in range(1, level + 1) if level % r == 0):
+                mod = JordanVermaModule(*_kac(t, r, level // r), 2)
+                found = singular_vectors(mod, level)
+                partnered = False
+                for s2 in found:
+                    moved = {(lam, 1): q for (lam, top), q in s2.terms.items() if top == 2}
+                    if moved:
+                        s1 = s2.apply_mode(0) - s2.scale(mod.h_value() + level)
+                        assert s1 == ModuleVector(mod, level, moved)
+                        assert check_hom_pair(s1, s2) is True
+                        partnered = True
+                answer = modules._hom_certificate(mod, level)
+                assert answer == (partnered, len(found))
+                answers[answer] += 1
+    assert answers == {(False, 1): 74, (True, 2): 24}
 
 
 # -- jordan filtration structure --------------------------------------------
