@@ -40,6 +40,17 @@ The sweeps:
   - usage errors and help: an unknown verb, `singular` without `--level`,
     a decimal `--c 0.5`, `--jordan x`, `--help`, `singular --help`, `wlog`
     with no op and `wlog bracket` with one generator;
+  - the argv shapes on both sides of the split between the verb parsers
+    and the top parser: no argv, a verb in the wrong case, a bare
+    `singular`, trailing extra tokens after a verb (one and two, and after
+    `--help`) and after `wlog bracket 1:1 1:2`, a bare `wlog vev`, an
+    option before the verb (`--json singular ...`, `-h singular`,
+    `wlog --json bracket ...`), `--` before the verb, right after it and
+    after `wlog bracket`, abbreviated options (`--lev`, `--ju`, `--sym`),
+    `--opt=value`, a repeated `--jordan` and `--json`, hom-check's default
+    `--jordan`, a missing option value, an unknown option (`-x`, and
+    `--symbolic` on `singular`), `radical -h`, `report extra`, `fixture`
+    with two ids and `fixture --json --out` with no file;
   - the `$ virlog ...` examples of README.md.
 """
 
@@ -146,6 +157,37 @@ def _usage() -> list:
         ["singular", "--help"],
         ["wlog"],
         ["wlog", "bracket", "1:1"],
+        # a verb-led argv goes straight to its verb's parser, every other
+        # one to the top parser: the shapes on both sides of that split
+        [],
+        ["SINGULAR", *module, "--level", "2"],
+        ["singular"],
+        ["singular", *module, "--level", "2", "extra"],
+        ["singular", *module, "--level", "2", "extra", "more"],
+        ["singular", "--help", "extra"],
+        ["wlog", "bracket", "1:1", "1:2", "extra"],
+        ["wlog", "vev"],
+        ["--json", "singular", *module, "--level", "2"],
+        ["-h", "singular"],
+        ["wlog", "--json", "bracket", "1:1", "1:2"],
+        ["--", "singular", *module, "--level", "2"],
+        ["singular", "--", *module, "--level", "2"],
+        ["wlog", "bracket", "--", "-1:1", "1:2"],
+        ["singular", *module, "--lev", "2"],
+        ["singular", *module, "--level", "2", "--ju", "2"],
+        ["det", "--sym", "--level", "2"],
+        ["fusion", "--c", "1", "--h1", "1", "--h2", "1", "--lev", "2"],
+        ["singular", "--c=1", "--h=1", "--level=2", "--jordan=2"],
+        ["singular", *module, "--level", "2", "--jordan", "1", "--jordan", "2"],
+        ["singular", *module, "--level", "2", "--json", "--json"],
+        ["hom-check", *module, "--level", "2"],
+        ["fusion", "--c", "1", "--h1", "1", "--h2", "1", "--level"],
+        ["singular", "-x"],
+        ["singular", *module, "--level", "2", "--symbolic"],
+        ["radical", "-h"],
+        ["report", "extra"],
+        ["fixture", "01a", "02a"],
+        ["fixture", "--json", "--out"],
     ]
 
 

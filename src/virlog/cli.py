@@ -252,11 +252,16 @@ def _cmd_wlog_jacobi(args):
 # -- parser wiring ----------------------------------------------------------
 
 
+# the top parser's defaults; a verb parser's own set_defaults override them
+_DEFAULTS = {"json": False, "out": None, "force_json": False, "handler": None}
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="virlog", description=__doc__)
-    parser.set_defaults(json=False, out=None, force_json=False, handler=None)
+    parser.set_defaults(**_DEFAULTS)
     subs = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
+    parser.verbs = subs.choices  # verb name -> its parser
 
     sub = subs.add_parser("shapovalov", help="Gram matrix of the level pairing")
     _add_module_flags(sub, symbolic=True)
@@ -365,10 +370,28 @@ def _emit(document: str, out) -> None:
             fh.write(document)
 
 
-def main(argv=None) -> int:
+def _parse_args(argv):
+    """The namespace of _build_parser().parse_args(argv), with the same
+    output and exit on a usage error.  A verb-led argv goes straight to the
+    verb's parser: the top parser's pass over it would only hand it on.
+    Every other argv (help, no verb, an unknown verb, a leading option or
+    `--`) is the top parser's."""
     parser = _build_parser()
+    sub = parser.verbs.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    for key, value in _DEFAULTS.items():
+        vars(args).setdefault(key, value)
+    args.verb = argv[0]
+    return args
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         if exc.code is None:
             return 0

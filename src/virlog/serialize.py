@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .errors import DomainError
 from .rational import parse_rational, render_rational
@@ -55,9 +56,43 @@ def to_text(value) -> str:
     raise DomainError(f"cannot serialize {type(value).__name__} to text")
 
 
+def _dumps(doc, pad: str = "\n") -> str:
+    """json.dumps(doc, indent=2, sort_keys=True) for a document of str,
+    int, bool, None, lists and str-keyed dicts.  json.dumps
+    uses its pure-Python encoder whenever indent is set; this writes the
+    same bytes, quoting strings with the C function json.dumps itself uses.
+    pad is the newline and indent that close the current container."""
+    if isinstance(doc, str):
+        return encode_basestring_ascii(doc)
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        inner = pad + "  "
+        items = []
+        for key in sorted(doc):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(encode_basestring_ascii(key) + ": " + _dumps(doc[key], inner))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(doc, list):
+        if not doc:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in doc]) + pad + "]"
+    if doc is None:
+        return "null"
+    if doc is True:
+        return "true"
+    if doc is False:
+        return "false"
+    if isinstance(doc, int):
+        return int.__repr__(doc)
+    raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
+
+
 def serialize(value, format: str = "text") -> str:
     if format == "json":
-        return json.dumps(to_document(value), indent=2, sort_keys=True)
+        return _dumps(to_document(value))
     if format == "text":
         return to_text(value)
     raise DomainError(f"unknown serialization format {format!r}")

@@ -5,17 +5,21 @@ runner wiring.  Exit codes: 0 ok, 1 bad input or domain error, 2 failing
 fixture under the fixture and report verbs.
 """
 
+import contextlib
 import io
 import json
 import re
 import subprocess
 import sys
+import time
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from virlog.cli import main
+from virlog.cli import _build_parser, _parse_args, main
 from virlog.fusion import EulerOperator, LogSeries, fusion_indicial
 from virlog.fixtures import FixtureResult, report_table
 from virlog.modules import (
@@ -363,6 +367,57 @@ def test_reused_parser_matches_fresh_runs(capsys, monkeypatch):
         assert run(capsys, *argv) == (proc.returncode, proc.stdout, proc.stderr)
 
 
+_MODULE = ["--c", "1", "--h", "1/4", "--level", "2"]
+_FUSION = ["fusion", "--c", "1", "--h1", "1", "--h2", "1/4"]
+_DISPATCH_ARGVS = [
+    *[[verb, *_MODULE, "--jordan", str(jordan), *extra]
+      for verb in ("shapovalov", "det", "singular", "radical", "hom-check")
+      for jordan in (1, 2, 3) for extra in ([], ["--json"])],
+    ["shapovalov", "--level", "2", "--symbolic", "--out", "m.txt"],
+    ["det", "--level", "3", "--jordan", "2", "--symbolic", "--json"],
+    ["hom-check", *_MODULE],
+    ["hom-check", *_MODULE, "--json", "--out", "h.json"],
+    _FUSION,
+    [*_FUSION, "--level", "3", "--json"],
+    ["euler-solve", "--input", "op.json"],
+    ["determine-b", "--h", "5/8"],
+    ["ope-coeff", "--c", "1", "--h", "1/4", "--json"],
+    ["wlog", "bracket", "1:1", "0:2", "--cocycle", "residue"],
+    ["wlog", "cocycle", "--json", "--", "-1:1", "b"],
+    ["wlog", "vev", "0:1", "0:-1"],
+    ["wlog", "vev"],
+    ["wlog", "jacobi", "--level", "1", "--cocycle", "closed"],
+    ["fixture"],
+    ["fixture", "06b-determine-b", "--json"],
+    ["report", "--json"],
+]
+
+
+@pytest.mark.parametrize("argv", _DISPATCH_ARGVS, ids=" ".join)
+def test_verb_led_argv_parses_as_through_the_top_parser(argv):
+    # main() sends a verb-led argv straight to the verb's parser; the
+    # namespace is the one the top parser builds, defaults included
+    args = vars(_parse_args(argv))
+    assert args == vars(_build_parser().parse_args(argv))
+    assert args["verb"] == argv[0]
+    assert {"handler", "force_json", "json", "out"} <= set(args)
+    assert args["force_json"] is (argv[0] in ("fusion", "euler-solve"))
+    if argv[0] == "hom-check" and "--jordan" not in argv:
+        assert args["jordan"] == 2
+
+
+@pytest.mark.parametrize("argv, extras", [
+    (["singular", *_MODULE, "extra"], "extra"),
+    (["radical", *_MODULE, "extra", "more"], "extra more"),
+    (["wlog", "bracket", "1:1", "1:2", "extra"], "extra"),
+    (["report", "extra"], "extra"),
+])
+def test_trailing_extras_are_the_top_parsers_error(capsys, argv, extras):
+    assert run(capsys, *argv) == (
+        1, "", f"usage: virlog [-h] VERB ...\nvirlog: error: unrecognized arguments: {extras}\n"
+    )
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "b.txt"
     code, out, _ = run(capsys, "determine-b", "--h", "5/8", "--out", str(target))
@@ -491,6 +546,38 @@ def test_symbolic_det_at_the_cap_runs(capsys):
     assert code == 0
     plain = shapovalov_determinant(JordanVermaModule("c", "h"), 4)
     assert deserialize(out, "multipoly") == plain**3
+
+
+# the slowest call a scratch sweep of these verbs found (radical at level 4,
+# jordan 2, with 4,000-digit --c and --h) took 0.016 s on a shared 2-core
+# x86-64 host; the bound leaves room for a loaded machine
+HUGE_CALL_SECONDS = 0.5
+
+
+@st.composite
+def _huge_rationals(draw):
+    num, den = (draw(st.integers(1, 4000).flatmap(
+        lambda d: st.integers(10 ** (d - 1), 10 ** d - 1))) for _ in range(2))
+    return f"{draw(st.sampled_from(['', '-']))}{num}/{den}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(verb=st.sampled_from(["singular", "radical", "hom-check"]),
+       level=st.integers(1, 4), jordan=st.integers(1, 2),
+       c=_huge_rationals(), h=_huge_rationals(), as_json=st.booleans())
+def test_huge_coefficients_exit_cleanly(verb, level, jordan, c, h, as_json):
+    # numerators and denominators of 1-4,000 digits, below the parser's
+    # 4,300-digit limit: a clean exit, quickly, and canonical JSON
+    argv = [verb, "--c", c, "--h", h, "--level", str(level), "--jordan", str(jordan)]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--json"] * as_json)
+    assert time.perf_counter() - start < HUGE_CALL_SECONDS
+    assert code in (0, 1)
+    if code == 0 and as_json:
+        text = out.getvalue()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 def test_module_runner_smoke():

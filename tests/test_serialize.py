@@ -9,15 +9,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from virlog.errors import DomainError
+from virlog.fixtures import run_fixture
 from virlog.fusion import EulerOperator, LogSeries, fusion_indicial
 from virlog.linalg import ExactMatrix
 from virlog.modules import JordanVermaModule, basis_vector, shapovalov_matrix
 from virlog.polynomial import UniPoly, sym
-from virlog.serialize import deserialize, serialize, to_document, to_text
+from virlog.serialize import _dumps, deserialize, serialize, to_document, to_text
 from virlog.virasoro import UEAElement
 from virlog.wlog import wlog_bracket
 
@@ -145,3 +146,70 @@ def test_json_output_is_valid_json_with_sorted_keys():
 def test_text_dict_lines_sorted():
     out = to_text({"z": Fraction(1), "a": Fraction(2)})
     assert out == "a: 2\nz: 1"
+
+
+# -- the JSON emitter against json.dumps ------------------------------------
+
+json_strings = st.text(st.one_of(
+    st.characters(),
+    st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "\u2028", "😀"]),
+))
+json_documents = st.recursive(
+    st.one_of(json_strings, st.integers(), st.integers(-(10**400), 10**400),
+              st.booleans(), st.none()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(json_strings, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+def oracle(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+@settings(max_examples=200)
+@given(json_documents)
+def test_emitter_matches_json_dumps(doc):
+    assert _dumps(doc) == oracle(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": [Fraction(1, 2)]}, [{"x": {1, 2}}], {"k": [[], {}, object()]},
+])
+def test_emitter_rejects_non_json_types(doc):
+    with pytest.raises(TypeError):
+        oracle(doc)
+    with pytest.raises(TypeError):
+        _dumps(doc)
+
+
+def _one_value_of_each_kind():
+    h, c = sym("h"), sym("c")
+    mod = JordanVermaModule(Fraction(1, 2), Fraction(-3, 4), 2)
+    return {
+        "rational": Fraction(-7, 3),
+        "multipoly": 3 * h * h * c - Fraction(7, 2) * h + 1,
+        "unipoly": UniPoly("x", [Fraction(1), Fraction(0), Fraction(-5, 2)]),
+        "matrix": shapovalov_matrix(JordanVermaModule("c", "h", 2), 2),
+        "module": mod,
+        "module-vector": basis_vector(mod, (1, 1), 1),
+        "enveloping": UEAElement.generator(-2).bracket(UEAElement.generator(1)),
+        "euler-operator": EulerOperator({(0, 2): Fraction(1), (1, 1): Fraction(3, 2)}),
+        "log-series": LogSeries({(Fraction(3, 4), 1): Fraction(1, 3) * sym("b")}),
+        "wlog-element": wlog_bracket((-1, 2), (1, -2), "residue"),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_one_value_of_each_kind()))
+def test_serialize_json_matches_json_dumps_for_every_kind(kind):
+    value = _one_value_of_each_kind()[kind]
+    assert serialize(value, "json") == oracle(to_document(value))
+    assert deserialize(serialize(value, "json"), kind) == value
+
+
+def test_serialize_json_matches_json_dumps_for_the_report_document():
+    # the document of `virlog report --json`: one row per fixture
+    doc = [run_fixture(fid).to_json() for fid in ("06b-determine-b", "09g-wlog-vertical-center")]
+    assert serialize(doc, "json") == oracle(to_document(doc))
