@@ -19,7 +19,9 @@ The sweeps:
     rs <= 6, fused with h1 = h_{1,2} and h_{2,1}, for the t of the
     benchmark's numeric sweep;
   - both with and without `--json`, and with and without `--level`;
-  - `determine-b` at h = 5/8, and at the degenerate weights 0 and 1;
+  - `determine-b` at every h = a/b with |a| <= 12 and 1 <= b <= 8, which
+    takes in 5/8 and the degenerate weights 0 and 1, with and without
+    `--json`;
   - the module verbs at levels 0-6 and `--jordan` 1-3, with and without
     `--json`: `det`, `singular`, `radical` and, at `--jordan` 1 and 2,
     `hom-check` on Kac weights h_{r,s} with rs the level and on two generic
@@ -34,7 +36,8 @@ The sweeps:
   - in every `--cocycle` mode, with and without `--json`: `wlog bracket`
     and `wlog cocycle` on every pair of generators i:m with |i|, |m| <= 3,
     `wlog jacobi` at `--level` 1 and 2, and `wlog vev` on the words of the
-    `$ virlog wlog vev ...` examples of README.md;
+    `$ virlog wlog vev ...` examples of README.md and on 200 seeded words
+    of 3-5 factors, each a generator i:m with |i|, |m| <= 3 or b;
   - the `fixture` listing, with and without `--json` (`fixture <id>` and
     `report` print seconds, so they stay out);
   - usage errors and help: an unknown verb, `singular` without `--level`,
@@ -62,6 +65,7 @@ import difflib
 import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -77,6 +81,8 @@ T_VALUES = tuple(Fraction(p, q) for p, q in
                  [(1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (3, 2), (2, 3)])
 COCYCLES = ("none", "closed", "residue")
 WLOG_BOUND = 3
+VEV_WORDS = 200
+B_NUMERATOR, B_DENOMINATOR = 12, 8  # the determine-b grid
 PARTITION_COUNTS = (1, 1, 2, 3, 5, 7, 11)  # levels 0-6
 DEEP_LEVELS = (7, 8)  # the CLI's MAX_LEVEL is 8
 DEEP_JORDAN = 4  # virlog.cli.MAX_JORDAN
@@ -132,6 +138,8 @@ def _wlog(readme: list) -> list:
     gens = [f"{i}:{m}" for i in range(-WLOG_BOUND, WLOG_BOUND + 1)
             for m in range(-WLOG_BOUND, WLOG_BOUND + 1)]
     words = [argv[2:] for argv in readme if argv[:2] == ["wlog", "vev"]]
+    rng = random.Random(1)
+    words += [rng.choices(gens + ["b"], k=rng.randint(3, 5)) for _ in range(VEV_WORDS)]
     argvs = []
     for mode in COCYCLES:
         for fmt in ([], ["--json"]):
@@ -202,8 +210,10 @@ def sweeps() -> list:
             c, h2 = _kac(t, r, s)
             for partner in ((1, 2), (2, 1)):
                 argvs += _fusion(c, _kac(t, *partner)[1], h2, r * s)
-    for h in ("5/8", "0", "1"):
-        argvs += [["determine-b", "--h", h], ["determine-b", "--h", h, "--json"]]
+    weights = {Fraction(a, b) for a in range(-B_NUMERATOR, B_NUMERATOR + 1)
+               for b in range(1, B_DENOMINATOR + 1)}
+    for h in sorted(weights):
+        argvs += [["determine-b", "--h", str(h)], ["determine-b", "--h", str(h), "--json"]]
     readme = [shlex.split(line)[2:] for line in (ROOT / "README.md").read_text().splitlines()
               if line.startswith("$ virlog ")]
     return argvs + _modules() + _wlog(readme) + _usage() + readme

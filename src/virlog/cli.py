@@ -180,16 +180,20 @@ def _cmd_fusion(args):
 
 
 def _cmd_euler_solve(args):
-    if args.input == "-":
-        raw = sys.stdin.read()
-    else:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            raw = fh.read()
     try:
+        if args.input == "-":
+            raw = sys.stdin.read()
+        else:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                raw = fh.read()
         doc = json.loads(raw)
         op = EulerOperator.from_json(doc["op"])
         rhs = LogSeries.from_json(doc["rhs"])
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except OSError as exc:
+        raise DomainError(f"cannot read euler-solve input: {exc}") from None
+    except (ValueError, KeyError, TypeError) as exc:
+        # ValueError covers JSONDecodeError, undecodable bytes and an int
+        # literal above the interpreter's digit limit
         raise DomainError(f"malformed euler-solve input: {exc}")
     _check_cap("dorder", max((j for _k, j in op.terms), default=0), MAX_EULER_ORDER)
     _check_cap("logpower", max((p for _r, p in rhs.terms), default=0), MAX_LOG_POWER)
@@ -366,8 +370,11 @@ def _emit(document: str, out) -> None:
     if out is None:
         sys.stdout.write(document)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(document)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(document)
+        except OSError as exc:
+            raise DomainError(f"cannot write --out file: {exc}") from None
 
 
 def _parse_args(argv):
@@ -399,11 +406,10 @@ def main(argv=None) -> int:
     try:
         payload, code = args.handler(args)
         fmt = "json" if (args.json or args.force_json) else "text"
-        document = serialize(payload, fmt)
+        _emit(serialize(payload, fmt), args.out)
     except VirlogError as exc:
         sys.stderr.write(f"virlog: error: {exc}\n")
         return 1
-    _emit(document, args.out)
     return code
 
 

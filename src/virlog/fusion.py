@@ -13,8 +13,11 @@ The indicial polynomial is multiplicative on homogeneous operators: if A
 sends x^s to a(s) x^(s-n) and B sends it to b(s) x^(s-m), then A B sends it
 to a(s - m) b(s) x^(s-n-m).  So fusion_indicial does not build the Euler
 operator of a singular vector: descent_indicial reads q from its words, as
-sums of products of linear factors in ints.  descent_operator and its
-indicial polynomial stay for determine_b and as the tests' reference.
+sums of products of linear factors in ints, and so does determine_b.
+descent_operator and its indicial polynomial are the tests' reference:
+descent_operator, descent_word, descent_factor, EulerOperator.compose and
+falling have no other caller here, and stay until the benchmark's
+fusion.descent span, which wraps descent_operator, is retargeted.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .polynomial import (
     is_squarefree,
     rational_roots,
     render_terms,
-    sym,
 )
 from .rational import parse_rational, render_rational
 
@@ -47,6 +49,18 @@ def falling(a, n: int):
     out = Fraction(1)
     for t in range(n):
         out *= a - t
+    return out
+
+
+def _integer(value, what: str) -> int:
+    """value as an int.  A string or float that int() reads exactly passes;
+    a bool or a value with a fractional part is refused."""
+    try:
+        out = int(value)
+    except (ValueError, OverflowError) as exc:
+        raise ParseError(f"{what} must be an integer: {exc}") from None
+    if isinstance(value, bool) or (out != value and not isinstance(value, str)):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
     return out
 
 
@@ -63,7 +77,7 @@ class EulerOperator(Combination):
     def __init__(self, terms=None):
         clean: dict = {}
         for (k, j), coeff in (terms or {}).items():
-            k, j = int(k), int(j)
+            k, j = _integer(k, "operator index k"), _integer(j, "dorder")
             if j < 0:
                 raise DomainError("negative derivative order in Euler operator")
             if coeff:
@@ -157,7 +171,7 @@ class EulerOperator(Combination):
         try:
             return cls(
                 {
-                    (-t["xpow"], t["dorder"]): coeff_from_json(t["coeff"])
+                    (-_integer(t["xpow"], "xpow"), t["dorder"]): coeff_from_json(t["coeff"])
                     for t in obj["terms"]
                 }
             )
@@ -315,7 +329,7 @@ class LogSeries(Combination):
                 r = Fraction(r)
             except (TypeError, ValueError) as exc:
                 raise DomainError(f"series exponent must be rational, got {r!r}") from exc
-            p = int(p)
+            p = _integer(p, "logpower")
             if p < 0:
                 raise DomainError("negative log power")
             if coeff:
@@ -428,18 +442,12 @@ def determine_b(h) -> Fraction:
         raise DomainError(
             "case outside the implemented family: no level-2 singular vector at central charge 0"
         )
-    op = descent_operator(found[0], h)
-    rhs = LogSeries({(-2 * h, 0): Fraction(2, 3) * sym("b")})
-    particular, _ = solve_euler(op, rhs)
-    log_coeff = particular.terms.get((-2 * h + 2, 1))
-    if log_coeff is None:
+    # an rhs A x^(-2h) resonates at s = 2 - 2h; the solve's log x term is
+    # A / q'(s), present exactly when s is a simple root of q
+    q = descent_indicial(found[0], h, 2 - 2 * h)
+    if q.coeff(0) or not q.coeff(1):
         raise DomainError("no logarithmic resonance at this weight")
-    if not isinstance(log_coeff, MultiPoly):
-        raise DomainError("resonance coefficient lost its b dependence")
-    ratio = log_coeff.divexact(Fraction(2, 3) * sym("b"))
-    if not ratio.is_constant():
-        raise DomainError("resonance ratio failed to collapse to a constant")
-    return 2 * h / ratio.constant_value()
+    return 2 * h * q.coeff(1)
 
 
 def ope_level2_coefficient(c, h) -> Fraction:
@@ -449,10 +457,8 @@ def ope_level2_coefficient(c, h) -> Fraction:
     if c == 0:
         raise DomainError("central term degenerate at c = 0")
     raising = EulerOperator({(-3, 1): Fraction(1), (-2, 0): 3 * h})
-    image = raising.apply(LogSeries.monomial(-2 * h))
-    numerator = image.coeff(-2 * h + 2)
     norm = shapovalov_matrix(JordanVermaModule(c, Fraction(0)), 2)[1, 1]
-    return as_fraction(numerator) / as_fraction(norm)
+    return raising.indicial().evaluate(-2 * h) / as_fraction(norm)
 
 
 # -- reference products for the fusion fixtures -----------------------------

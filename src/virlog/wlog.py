@@ -19,12 +19,13 @@ wlog_deviations collects those pairs.
 The central element b is one more basis vector: a WLogElement is a
 Combination over the keys (i, m) and CENTRAL, and wlog_bracket extends the
 generator bracket bilinearly over elements, with b bracketing to zero.
-The generator bracket, the element bracket and check_jacobi take their
-terms from one kernel, _bracket_terms, the one place that knows where the
-terms of a bracket go: it gives each generator key of the bracket with
-its coefficient, m - n or j - i as an int, and the cocycle value from
-_COCYCLE_MEMO, a table keyed by the generator pair and the cocycle
-function.  A cocycle that raises stores nothing there.
+The generator bracket, the element bracket, check_jacobi and
+vacuum_expectation take their terms from one kernel, _bracket_terms, the
+one place that knows where the terms of a bracket go: it gives each
+generator key of the bracket with its coefficient, m - n or j - i as an
+int, and the cocycle value from _COCYCLE_MEMO, a table keyed by the
+generator pair and the cocycle function.  A cocycle that raises stores
+nothing there.
 
 Coefficients run as ints where they are integral and come back as
 Fractions: both cocycles are summed in ints over one common denominator,
@@ -474,27 +475,20 @@ def _gen_on_tuple(gen, tup: tuple, fn) -> dict:
     """One generator applied to a creation string; {creation tuple: Coeff}."""
     if gen == CENTRAL:
         return {tup: sym("b")}
-    i, m = gen
-    if m < 0:
+    if gen[1] < 0:
         return {(gen,) + tup: Fraction(1)}
     if not tup:
         return {}
     head, rest = tup[0], tup[1:]
     pairs = []
     # commutator part: [gen, head] acting on the rest
-    (hi, hm) = head
-    if m != hm:
-        pairs.extend(
-            (tup2, Fraction(m - hm) * c2)
-            for tup2, c2 in _gen_on_tuple((i + hi, m + hm), rest, fn).items()
-        )
-    if i != hi:
-        pairs.extend(
-            (tup2, Fraction(hi - i) * c2)
-            for tup2, c2 in _gen_on_tuple((i + hi - 1, m + hm), rest, fn).items()
-        )
-    central = fn(gen, head)
-    if central != 0:
+    top_key, top, low_key, low, central = _bracket_terms(gen, head, fn)
+    for key, coeff in ((top_key, top), (low_key, low)):
+        if coeff:
+            pairs.extend(
+                (tup2, coeff * c2) for tup2, c2 in _gen_on_tuple(key, rest, fn).items()
+            )
+    if central:
         pairs.append((rest, central * sym("b")))
     # straight-through part: head (a creator) times gen acting deeper
     pairs.extend(((head,) + tup2, c2) for tup2, c2 in _gen_on_tuple(gen, rest, fn).items())

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import time
+from unittest import mock
 
 from fractions import Fraction
 
@@ -267,6 +268,41 @@ def test_euler_solve_oversized_result_exits_one(capsys, monkeypatch):
     limit = sys.get_int_max_str_digits()
     assert err == f"virlog: error: a result of more than {limit} digits cannot be printed\n"
     assert "Traceback" not in err
+
+
+_SOLVABLE = _euler_doc([(0, 2, "1"), (-2, 0, "-2")], [("1/2", 0, "1")])
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["euler-solve", "--input", "{tmp}/missing.json"], ""),
+    (["determine-b", "--h", "5/8", "--out", "{tmp}/missing/b.txt"], ""),
+    (["euler-solve", "--out", "{tmp}/missing/solved.json"], _SOLVABLE),
+    (["euler-solve"], _euler_doc([(0, 2, "1")], [("0", "x", "1")])),
+    (["euler-solve"], _SOLVABLE.replace('"logpower": 0', '"logpower": 1e400')),
+    (["euler-solve"], _SOLVABLE.replace('"logpower": 0', '"logpower": NaN')),
+    (["euler-solve"], _SOLVABLE[:-1] + ', "note": 1' + "0" * 5000 + "}"),
+    # solved as dorder 1 and logpower 1 before integer fields were checked
+    (["euler-solve"], _euler_doc([(0, 1.5, "1")], [("0", 0, "1")])),
+    (["euler-solve"], _euler_doc([(0, 2, "1")], [("0", True, "1")])),
+], ids=["missing-input", "out-dir-missing", "euler-out-dir-missing", "logpower-string",
+        "logpower-1e400", "logpower-nan", "over-limit-literal", "dorder-1.5", "logpower-true"])
+def test_bad_files_and_fields_exit_one(capsys, monkeypatch, tmp_path, argv, doc):
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code, out, err = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"virlog: error: [^\n]*\n", err)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("dorder", ['"2"', "2.0"])
+def test_integral_field_spellings_keep_their_output(capsys, monkeypatch, dorder):
+    # a string or float that int() reads exactly is that integer
+    monkeypatch.setattr("sys.stdin", io.StringIO(_SOLVABLE))
+    want = run(capsys, "euler-solve")
+    spelled = _SOLVABLE.replace('"dorder": 2', f'"dorder": {dorder}')
+    monkeypatch.setattr("sys.stdin", io.StringIO(spelled))
+    assert want[0] == 0
+    assert run(capsys, "euler-solve") == want
 
 
 # -- wlog verbs -------------------------------------------------------------
@@ -552,6 +588,10 @@ def test_symbolic_det_at_the_cap_runs(capsys):
 # jordan 2, with 4,000-digit --c and --h) took 0.016 s on a shared 2-core
 # x86-64 host; the bound leaves room for a loaded machine
 HUGE_CALL_SECONDS = 0.5
+# the same for fusion of a 4,000-digit --h1 with h_{1,2} or h_{2,1} (0.08 s)
+# and euler-solve with 4,000-digit coefficients and exponent (0.6 s, most
+# of it Fraction gcds in the resonance solve and root refinement)
+HUGE_WEIGHT_SECONDS = 3.0
 
 
 @st.composite
@@ -559,6 +599,23 @@ def _huge_rationals(draw):
     num, den = (draw(st.integers(1, 4000).flatmap(
         lambda d: st.integers(10 ** (d - 1), 10 ** d - 1))) for _ in range(2))
     return f"{draw(st.sampled_from(['', '-']))}{num}/{den}"
+
+
+def _exits_cleanly(argv, bound, stdin="") -> str:
+    """Run argv in-process: exit 0, or 1 with one error line, within bound
+    seconds, and canonical JSON if --json; returns stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.object(sys, "stdin", io.StringIO(stdin)):
+        code = main(argv)
+    assert time.perf_counter() - start < bound
+    assert (code, err.getvalue()) == (0, "") or (
+        code == 1 and re.fullmatch(r"virlog: error: [^\n]*\n", err.getvalue()))
+    text = out.getvalue()
+    if code == 0 and "--json" in argv:
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    return text
 
 
 @settings(max_examples=40, deadline=None)
@@ -569,15 +626,49 @@ def test_huge_coefficients_exit_cleanly(verb, level, jordan, c, h, as_json):
     # numerators and denominators of 1-4,000 digits, below the parser's
     # 4,300-digit limit: a clean exit, quickly, and canonical JSON
     argv = [verb, "--c", c, "--h", h, "--level", str(level), "--jordan", str(jordan)]
-    out, err = io.StringIO(), io.StringIO()
-    start = time.perf_counter()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv + ["--json"] * as_json)
-    assert time.perf_counter() - start < HUGE_CALL_SECONDS
-    assert code in (0, 1)
-    if code == 0 and as_json:
-        text = out.getvalue()
-        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    _exits_cleanly(argv + ["--json"] * as_json, HUGE_CALL_SECONDS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=st.sampled_from(SWEEP_T), label=st.sampled_from([(1, 1), (1, 2), (2, 1)]),
+       h1=_huge_rationals(), generic=st.one_of(st.none(), _huge_rationals()),
+       with_level=st.booleans(), as_json=st.booleans())
+def test_fusion_with_huge_weights_exits_cleanly(t, label, h1, generic, with_level, as_json):
+    # a huge --h1 against h_{r,s}, whose level carries a singular vector,
+    # or against a drawn --h2, generic but for a few small draws
+    c, h2 = _kac(t, *label)
+    argv = ["fusion", "--c", str(c), "--h1", h1, "--h2", generic or str(h2)]
+    argv += ["--level", str(label[0] * label[1])] * with_level + ["--json"] * as_json
+    _exits_cleanly(argv, HUGE_WEIGHT_SECONDS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=_huge_rationals())
+def test_determine_b_with_a_huge_weight_exits_cleanly(h):
+    assert _exits_cleanly(["determine-b", "--h", h], HUGE_CALL_SECONDS) == ""
+
+
+@st.composite
+def _huge_euler_docs(draw):
+    """An order-2 operator and a one-term rhs with 1-4,000-digit rationals,
+    and sometimes an int literal above the interpreter's 4,300-digit limit
+    in one field, as a rational string or a bare JSON number."""
+    coeffs = [draw(_huge_rationals()) for _ in range(3)]
+    doc = _euler_doc([(0, 2, coeffs[0]), (-1, 1, coeffs[1]), (-2, 0, coeffs[2])],
+                     [(draw(_huge_rationals()), draw(st.integers(0, 3)), draw(_huge_rationals()))])
+    if draw(st.booleans()):
+        # str() refuses ints this long, so the literal is built as text
+        literal = draw(st.integers(4301, 5000).map(lambda d: "7" * d))
+        field = draw(st.sampled_from(["xpow", "logpower", "coeff", "exponent"]))
+        value = literal if field in ("xpow", "logpower") else f'"{literal}"'
+        doc = re.sub(f'"{field}": ("[^"]*"|-?\\d+)', f'"{field}": {value}', doc, count=1)
+    return doc
+
+
+@settings(max_examples=25, deadline=None)
+@given(doc=_huge_euler_docs())
+def test_euler_solve_with_huge_numbers_exits_cleanly(doc):
+    _exits_cleanly(["euler-solve"], HUGE_WEIGHT_SECONDS, stdin=doc)
 
 
 def test_module_runner_smoke():

@@ -5,7 +5,8 @@ pipeline: singular vector, Euler operator, indicial polynomial, fusion
 polynomial, root structure.  The indicial polynomial that fusion_indicial
 reads from the words of a singular vector is checked against the one of
 its composed Euler operator.  The resonance solver is verified by applying
-the operator back to its output.
+the operator back to its output, and determine_b, which reads b from the
+indicial polynomial, is held equal to that solve.
 """
 
 import random
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from virlog import fusion
 from virlog.errors import DomainError
 from virlog.fusion import (
     EulerOperator,
@@ -30,8 +32,8 @@ from virlog.fusion import (
     ope_level2_coefficient,
     solve_euler,
 )
-from virlog.modules import JordanVermaModule, ModuleVector, singular_vectors
-from virlog.polynomial import UniPoly, rational_roots, sym
+from virlog.modules import JordanVermaModule, ModuleVector, shapovalov_matrix, singular_vectors
+from virlog.polynomial import MultiPoly, UniPoly, rational_roots, sym
 
 
 def _roots_dict(data):
@@ -412,6 +414,58 @@ def test_determine_b_rejects_degenerate_weights():
         determine_b(Fraction(0))
     with pytest.raises(DomainError):
         determine_b(Fraction(1))
+
+
+def _determine_b_by_resonance(h):
+    """determine_b through the composed descent operator: solve it against
+    the rhs 2/3 b x^(-2h) and divide the log x coefficient by 2/3 b."""
+    h = Fraction(h)
+    if h == 0:
+        raise DomainError("degenerate weight 0: the level-1 singular vector collapses the descent")
+    found = singular_vectors(JordanVermaModule(Fraction(0), h), 2)
+    if not found:
+        raise DomainError(
+            "case outside the implemented family: no level-2 singular vector at central charge 0"
+        )
+    rhs = LogSeries({(-2 * h, 0): Fraction(2, 3) * sym("b")})
+    particular, _ = solve_euler(descent_operator(found[0], h), rhs)
+    log_coeff = particular.terms.get((-2 * h + 2, 1))
+    if log_coeff is None:
+        raise DomainError("no logarithmic resonance at this weight")
+    return 2 * h / log_coeff.divexact(Fraction(2, 3) * sym("b")).constant_value()
+
+
+B_GRID = sorted({Fraction(a, b) for a in range(-40, 41) for b in range(1, 13)}
+                | {Fraction(0), Fraction(5, 8)})
+
+
+def test_determine_b_matches_the_resonance_solve():
+    outcomes = {h: _outcome(determine_b, h) for h in B_GRID}
+    assert outcomes == {h: _outcome(_determine_b_by_resonance, h) for h in B_GRID}
+    # 5/8 is the one weight of the grid with a level-2 singular vector
+    assert {h: b for h, b in outcomes.items() if not isinstance(b, str)} == {
+        Fraction(5, 8): Fraction(5, 2)}
+
+
+def test_determine_b_reads_the_indicial_polynomial(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("resonance machinery called")
+
+    for name in ("descent_operator", "solve_euler", "rational_roots"):
+        monkeypatch.setattr(fusion, name, never)
+    monkeypatch.setattr(EulerOperator, "compose", never)
+    monkeypatch.setattr(MultiPoly, "divexact", never)
+    assert determine_b(Fraction(5, 8)) == Fraction(5, 2)
+
+
+@pytest.mark.parametrize("c, h", [(Fraction(1), Fraction(0)), (Fraction(-2), Fraction(-1, 8)),
+                                  (Fraction(1, 2), Fraction(1, 16)), (Fraction(-7, 3), Fraction(5)),
+                                  (Fraction(25), Fraction(-9, 4))])
+def test_ope_level2_coefficient_matches_apply(c, h):
+    raising = EulerOperator({(-3, 1): Fraction(1), (-2, 0): 3 * h})
+    image = raising.apply(LogSeries.monomial(-2 * h))
+    norm = shapovalov_matrix(JordanVermaModule(c, Fraction(0)), 2)[1, 1]
+    assert ope_level2_coefficient(c, h) == image.coeff(-2 * h + 2) / norm
 
 
 def test_ope_level2_coefficient_formula():
