@@ -6,9 +6,8 @@ integer coefficients.  The determinant is a Bareiss (1968) elimination in
 Z: every intermediate is a minor of the scaled matrix, so each division is
 exact and no Fraction is built until the end.  Callers that hold integer
 rows already (the module matrices of virlog.modules) pass them straight to
-the integer entry points _int_determinant, _int_null_space and
-_full_column_rank; ExactMatrix.determinant and null_space call the first
-two after scaling.
+the integer entry points _int_determinant, _modular_rref and
+_full_column_rank; ExactMatrix calls the first two after scaling.
 
 A determinant over Z[vars] is evaluated at an integer grid in all vars but
 the last, which is packed into each entry as a power of two (Kronecker
@@ -24,13 +23,14 @@ checked exactly, M v = 0 in ints, and the checks prove the whole form: see
 ExactMatrix.rref.
 
 The matrices of a Jordan module are block upper-triangular Toeplitz: block
-row i is block row 0 moved i blocks right.  Mod p, block row 0 is reduced
-once on its first block of columns, the top block, and its pivot rows,
-moved into every block row, are already in echelon form; only the rows
-the top block leaves zero, one or two on the Kac table, are reduced
-further (_echelon_mod).  Full column rank mod p is the top block's.  The
-reduced form mod p is unique, so its pivots and entries are those of a
-plain elimination, and only its free columns are back-substituted.
+row i is block row 0 moved i blocks right, so the kernel is given block
+row 0 alone.  Mod p, block row 0 is reduced once on its first block of
+columns, the top block, and its pivot rows, moved into every block row,
+are already in echelon form; only the rows the top block leaves zero, one
+or two on the Kac table, are reduced further (_echelon_mod).  Full column
+rank mod p is the top block's.  The reduced form mod p is unique, so its
+pivots and entries are those of a plain elimination, and only its free
+columns are back-substituted.
 """
 
 from __future__ import annotations
@@ -136,14 +136,24 @@ class ExactMatrix:
     def null_space(self):
         """Basis of the right kernel, one vector per free column.
 
-        Each basis vector carries a 1 in its free column, so the result is
-        deterministic and convenient for normalization downstream.
+        For each free column f of the reduced form, in order, the vector
+        with 1 at f, 0 at the other free columns and minus the entries of f
+        at the pivots before it (see rref), so the result is deterministic
+        and convenient for normalization downstream.
         """
-        return _int_null_space(self._ints(), self.cols)
+        pivots, lifted = _modular_rref(self._ints(), self.cols)
+        zero, one = Fraction(0), Fraction(1)
+        basis = []
+        for f, column in lifted.items():
+            vec = [zero] * self.cols
+            vec[f] = one
+            for pc, q in zip(pivots, column):
+                vec[pc] = -q
+            basis.append(vec)
+        return basis
 
     def rank(self) -> int:
-        _, pivots = self.rref()
-        return len(pivots)
+        return len(_modular_rref(self._ints(), self.cols)[0])
 
     def _ints(self):
         """The entries as int rows, scaled by the lcm of their denominators."""
@@ -424,15 +434,14 @@ def _prime(k: int) -> int:
 
 def _echelon_mod(m, cols, p, jordan=1):
     """(pivot columns, pivot rows) of a row echelon form mod the prime p of
-    the int rows m, each pivot row scaled to pivot 1 and kept after its
-    pivot column: done[r][j - pivots[r] - 1] is its entry in column
-    j < cols.
+    the block upper-triangular Toeplitz matrix M with block row 0 the int
+    rows m, each pivot row scaled to pivot 1 and kept after its pivot
+    column: done[r][j - pivots[r] - 1] is its entry in column j < cols.
 
-    m is block upper-triangular Toeplitz with jordan block rows and blocks
-    of n = cols // jordan columns: its first len(m) // jordan rows are
-    block row 0, and block row i is block row 0 moved i blocks right and
-    cut to width.  Block row 0 is reduced once on its first n columns, at
-    full width.  Every block row is spanned by the moved copies of its
+    M has jordan block rows and blocks of n = cols // jordan columns, and
+    block row i is block row 0 moved i blocks right and cut to width; at
+    jordan 1, M is m.  Block row 0 is reduced once on its first n columns,
+    at full width.  Every block row is spanned by the moved copies of its
     pivot rows, which are in echelon form, and of its defect rows, the rows
     it left zero on those columns (in the last block row they are zero).
     So the elimination goes on over the defect rows alone: a column that
@@ -444,7 +453,7 @@ def _echelon_mod(m, cols, p, jordan=1):
     between steps, as each step adds at most p^2 to an entry.
     """
     n = cols // jordan
-    rows = [[x % p for x in row] for row in m[:len(m) // jordan]]
+    rows = [[x % p for x in row] for row in m]
     pivots, done, lead = [], [], {}
     for col in range(cols):
         if col == n:
@@ -471,8 +480,9 @@ def _echelon_mod(m, cols, p, jordan=1):
 
 def _rref_mod(m, cols, p, jordan=1):
     """(pivot columns, {free column f: its entries in the pivot rows before
-    f}) of the reduced row echelon form mod the prime p of the int rows m
-    (jordan as in _echelon_mod); the dict is empty at full column rank.
+    f}) of the reduced row echelon form mod the prime p of M, the matrix
+    with block row 0 the int rows m (see _echelon_mod); the dict is empty
+    at full column rank.
 
     The reduced form mod p is unique, so its pivots and entries do not
     depend on the order of the rows, and only the free columns are
@@ -508,10 +518,13 @@ def _reconstruct(u: int, modulus: int):
     return Fraction(r1, t1)
 
 
-def _lift(m, pivots, residues, modulus):
+def _lift(m, pivots, residues, modulus, jordan=1):
     """{free column f: its entries in the pivot rows before f}, rationally
     reconstructed from residues mod modulus, when every entry reconstructs
-    and every kernel vector v_f passes the exact check m v_f = 0; else None."""
+    and every kernel vector v_f passes the exact check M v_f = 0, M the
+    matrix with block row 0 the int rows m (see _echelon_mod); else None.
+    Block row i of M times v is block row 0 times v from column i n on."""
+    n = len(m[0]) // jordan
     lifted = {}
     for f, column in residues.items():
         values = []
@@ -526,7 +539,7 @@ def _lift(m, pivots, residues, modulus):
         for pc, q in zip(pivots, values):
             vec[pc] = -q.numerator * (den // q.denominator)
         vec[f] = den
-        if any(sum(map(mul, row, vec)) for row in m):
+        if any(sum(map(mul, row, vec[i * n:])) for i in range(jordan) for row in m):
             return None
         lifted[f] = values
     return lifted
@@ -534,17 +547,19 @@ def _lift(m, pivots, residues, modulus):
 
 def _modular_rref(m, cols, jordan=1):
     """(pivot columns, {free column f: Fraction entries of f in the pivot
-    rows before f}) of the reduced row echelon form of the int rows m; the
-    entries in later pivot rows are 0.  At jordan >= 2, m is block
-    upper-triangular Toeplitz with block row 0 first (see _rref_mod), and
-    the lift is checked on all its rows.  See ExactMatrix.rref."""
+    rows before f}) of the reduced row echelon form of M, the matrix with
+    block row 0 the int rows m (see _echelon_mod); the entries in later
+    pivot rows are 0.  See ExactMatrix.rref."""
     best, tried = None, 1
     for k in count():
         if k == 1:
-            # h2 >= H^2 is the product of the columns' squared norms.
+            # h2 >= H^2 is the product of the columns' squared norms; M's
+            # column j holds block row 0's columns j, j - n, .. down to j % n.
             # Unlucky primes divide one nonzero minor, so they multiply to
             # at most H, and the lucky ones to at most 2 h2 before the last
-            h2 = prod(max(1, sum(x * x for x in col)) for col in zip(*m))
+            n = cols // jordan
+            norms = [sum(x * x for x in col) for col in zip(*m)]
+            h2 = prod(max(1, sum(norms[j % n:j + 1:n])) for j in range(cols))
             cap = h2 * h2 << 63
         if k and tried > cap:
             raise ArithmeticError("modular rref passed its prime bound")
@@ -566,7 +581,7 @@ def _modular_rref(m, cols, jordan=1):
             modulus *= p
         else:
             continue
-        lifted = _lift(m, pivots, residues, modulus)
+        lifted = _lift(m, pivots, residues, modulus, jordan)
         if lifted is not None:
             return pivots, lifted
 
@@ -576,21 +591,3 @@ def _full_column_rank(m, cols) -> bool:
     mod the first prime.  True proves full column rank over Q, as rank mod
     p is at most the rank over Q; False proves nothing."""
     return len(_echelon_mod(m, cols, _prime(0))[0]) == cols
-
-
-def _int_null_space(m, cols, jordan=1):
-    """Basis of the right kernel of the int rows m with cols columns: for
-    each free column f of the reduced form, in order, the Fraction vector
-    with 1 at f, 0 at the other free columns and minus the lifted entries
-    of f at the pivots before it (_modular_rref, so every vector is checked
-    exactly; jordan as there)."""
-    pivots, lifted = _modular_rref(m, cols, jordan)
-    zero, one = Fraction(0), Fraction(1)
-    basis = []
-    for f, column in lifted.items():
-        vec = [zero] * cols
-        vec[f] = one
-        for pc, q in zip(pivots, column):
-            vec[pc] = -q
-        basis.append(vec)
-    return basis

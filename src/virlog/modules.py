@@ -30,18 +30,20 @@ gives the Taylor-block rule: block (i, j) of the top indices holds
 The Gram matrices and the L(1), L(2) matrices over Q[c, h] are built once
 per level, as tables of ints over a common denominator.
 
-A module evaluates a table block by block (_blocks) and assembles the
-block upper-triangular Toeplitz matrix (_toeplitz).  The rows reach the
-kernels of linalg as ints: numeric rows times one common denominator, and
+A module evaluates a table block by block (_blocks).  The rows reach the
+linalg layer as ints: numeric rows times one common denominator, and
 symbolic rows as {(a, b): int} term dicts of c^a h^b over the table's
-denominator, with no MultiPoly or Fraction per entry.  The diagonal block
+denominator, with no MultiPoly or Fraction per entry.  The determinant
+takes the assembled block upper-triangular Toeplitz matrix (_toeplitz);
+the kernel behind the radical, the singular vectors and the hom-check
+(_kernel) takes block row 0 alone, each row's Taylor blocks side by side,
+as block row i is block row 0 moved i blocks right.  The diagonal block
 is the matrix on the jordan-1 module, and a block upper-triangular matrix
 whose diagonal block has full column rank has full column rank; so at
-jordan >= 2 the radical and the singular vectors first reduce that block
-alone mod a prime, and only when that does not prove full rank are the
-other blocks evaluated and the whole matrix reduced and lifted.  That
-reduction follows the Toeplitz structure: block row 0 is reduced once and
-carried through the other block rows (linalg._echelon_mod).
+jordan >= 2 the kernel first reduces that block alone mod a prime, and
+only when that does not prove full rank are the other blocks evaluated
+and block row 0 reduced, carried through the other block rows
+(linalg._echelon_mod), and lifted.
 """
 
 from __future__ import annotations
@@ -53,13 +55,7 @@ from math import comb, lcm
 from typing import Union
 
 from .errors import DomainError, ParseError, ShapeError, SymbolError
-from .linalg import (
-    ExactMatrix,
-    _full_column_rank,
-    _int_determinant,
-    _int_null_space,
-    _modular_rref,
-)
+from .linalg import ExactMatrix, _full_column_rank, _int_determinant, _modular_rref
 from .polynomial import (
     Coeff,
     MultiPoly,
@@ -488,31 +484,35 @@ def _toeplitz(blocks, zero) -> list:
             for r in range(size)]
 
 
-def _kernel_rows(tables, mod: JordanVermaModule):
-    """The int rows of the stacked tables on mod, each table's rows times
-    its own scale, grouped by top index; None when their top block proves
-    full column rank.
+def _kernel(tables, mod: JordanVermaModule) -> tuple:
+    """(cols, pivots, lifted) of the certified reduced form of the stacked
+    tables on mod, grouped by top index: its column count, its pivot
+    columns and {free column f: the Fraction entries of f in the pivot rows
+    before f} (linalg._modular_rref).  Each table's rows are times its own
+    scale, which leaves the reduced form as it is.
 
     Grouped by top index, the matrix is block upper-triangular Toeplitz:
     block row i is block row 0 moved i blocks right, and its diagonal
     block is the top block, the stacked block 0 of the tables, their
     matrix on the jordan-1 module.  If the top block has full column rank,
-    so does the whole matrix, its last block column first.  At jordan >= 2
-    the top block is reduced alone mod the first prime, which can only
-    prove full rank; otherwise the remaining blocks are evaluated and the
-    rows assembled, block row 0 first, for the certified kernel, which
-    reduces block row 0 once and carries it through the other block rows
-    (linalg._echelon_mod).  At jordan 1 the top block is the whole matrix,
-    and the kernel's first prime makes the same test.
+    so does the whole matrix, its last block column first, and the answer
+    is every column a pivot.  At jordan >= 2 the top block is reduced alone
+    mod the first prime, which can only prove full rank; otherwise the
+    remaining blocks are evaluated and block row 0, each row's blocks side
+    by side, goes to the certified kernel.  At jordan 1 the top block is
+    the whole matrix, and the kernel's first prime makes the same test.
     """
     top = [row for table in tables for row in _blocks(table, mod, range(1))[0][0]]
-    if mod.jordan == 1:
-        return top
-    if _full_column_rank(top, len(top[0])):
-        return None
-    rest = [_blocks(table, mod, range(1, mod.jordan))[0] for table in tables]
-    return _toeplitz([top] + [[row for blocks in rest for row in blocks[k]]
-                              for k in range(mod.jordan - 1)], 0)
+    n = len(top[0])
+    cols = n * mod.jordan
+    if mod.jordan > 1:
+        if _full_column_rank(top, n):
+            return cols, list(range(cols)), {}
+        # each row's blocks 1 .. jordan - 1, in the order of top
+        tails = [tail for table in tables
+                 for tail in zip(*_blocks(table, mod, range(1, mod.jordan))[0])]
+        top = [row + [x for block in tail for x in block] for row, tail in zip(top, tails)]
+    return (cols, *_modular_rref(top, cols, mod.jordan))
 
 
 @lru_cache(maxsize=None)
@@ -547,16 +547,21 @@ def _gram_table(level: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _lowering_table(level: int, gen: int) -> tuple:
-    """L(gen) from the level to level - gen of M(c, h), one row per
-    partition of level - gen."""
-    index = {mu: r for r, mu in enumerate(sorted(partitions(level - gen)))}
+def _lowering_tables(level: int) -> tuple:
+    """The tables of L(1) and, from level 2 on, L(2) from the level of
+    M(c, h): L(gen) to level - gen, one row per partition of level - gen."""
+    if level < 1:
+        raise DomainError("singular vectors live at positive levels")
     parts = sorted(partitions(level))
-    rows = [[{} for _ in parts] for _ in index]
-    for col, lam in enumerate(parts):
-        for (mu, e), q in _apply_single(gen, lam).items():
-            rows[index[mu]][col][e] = q
-    return _table(rows)
+    tables = []
+    for gen in range(1, min(level, 2) + 1):
+        index = {mu: r for r, mu in enumerate(sorted(partitions(level - gen)))}
+        rows = [[{} for _ in parts] for _ in index]
+        for col, lam in enumerate(parts):
+            for (mu, e), q in _apply_single(gen, lam).items():
+                rows[index[mu]][col][e] = q
+        tables.append(_table(rows))
+    return tuple(tables)
 
 
 # -- Shapovalov form --------------------------------------------------------
@@ -605,28 +610,15 @@ def radical_dimension(mod: JordanVermaModule, level: int) -> int:
 
     The Gram matrix is block upper-triangular Toeplitz in the top index
     with the jordan-1 Gram matrix on its diagonal, so full rank of that
-    block mod a prime settles the answer at 0 (_kernel_rows); otherwise it
-    is the number of free columns of the certified reduced form of the int
-    rows, whose elimination mod p reduces the first block row once and
-    carries it through the others, updating only the rows the diagonal
+    block mod a prime settles the answer at 0 (_kernel); otherwise it is
+    the number of free columns of the certified reduced form of block row
+    0 of the int rows, whose elimination mod p reduces block row 0 once
+    and carries it through the others, updating only the rows the diagonal
     block leaves zero.
     """
     mod.require_numeric("radical computation")
-    # the kernel does not depend on the common scale of the int rows
-    rows = _kernel_rows([_gram_table(level)], mod)
-    if rows is None:
-        return 0
-    cols = len(rows[0])
-    return cols - len(_modular_rref(rows, cols, mod.jordan)[0])
-
-
-def _singular_rows(mod: JordanVermaModule, level: int):
-    """The stacked L(1), L(2) int rows at the level, or None (_kernel_rows)."""
-    mod.require_numeric("singular vector computation")
-    if level < 1:
-        raise DomainError("singular vectors live at positive levels")
-    # the kernel does not depend on the common scale of each block of rows
-    return _kernel_rows([_lowering_table(level, gen) for gen in (1, 2) if gen <= level], mod)
+    cols, pivots, _ = _kernel([_gram_table(level)], mod)
+    return cols - len(pivots)
 
 
 def singular_vectors(mod: JordanVermaModule, level: int) -> list:
@@ -637,22 +629,19 @@ def singular_vectors(mod: JordanVermaModule, level: int) -> list:
     is exactly the space of singular vectors.  The stacked L(1), L(2)
     matrix is block upper-triangular Toeplitz in the top index with the
     jordan-1 stacked matrix on its diagonal, so full column rank of that
-    block mod a prime settles the answer as [] (_kernel_rows); otherwise
-    the basis is read from the certified kernel of the int rows, reduced
-    mod p block row by block row as in radical_dimension, each vector
-    checked exactly.
+    block mod a prime settles the answer as [] (_kernel); otherwise the
+    basis is read from the certified kernel of block row 0 of the int rows,
+    reduced mod p as in radical_dimension, each vector checked exactly:
+    for each free column f, minus its entries at the pivots before it and
+    1 at f.
     """
-    rows = _singular_rows(mod, level)
-    if rows is None:
-        return []
+    mod.require_numeric("singular vector computation")
+    _, pivots, lifted = _kernel(_lowering_tables(level), mod)
     basis = level_basis(mod, level)
     out = []
-    for vec in _int_null_space(rows, len(basis), mod.jordan):
-        terms = {
-            label: coeff
-            for label, coeff in zip(basis, vec)
-            if coeff != 0
-        }
+    for f, column in lifted.items():
+        terms = {basis[pc]: -q for pc, q in zip(pivots, column)}
+        terms[basis[f]] = Fraction(1)
         out.append(ModuleVector(mod, level, terms).normalize_leading())
     return out
 
@@ -667,10 +656,7 @@ def _hom_certificate(mod: JordanVermaModule, level: int) -> tuple:
     its free column, top index 1 first, so that happens exactly when a
     free column is in the top-2 half.
     """
-    rows = _singular_rows(mod, level)
-    if rows is None:
-        return False, 0
-    free = _modular_rref(rows, len(rows[0]), mod.jordan)[1]
+    free = _kernel(_lowering_tables(level), mod)[2]
     return any(f >= len(partitions(level)) for f in free), len(free)
 
 

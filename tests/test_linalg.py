@@ -5,9 +5,9 @@ and, over Q[vars], against sparse Bareiss elimination on term dicts
 (tests/sparse_bareiss.py) on random small matrices.  The modular rref is
 cross-checked against Gauss-Jordan over Fraction and fraction-free
 Gauss-Jordan in Z (tests/gauss_jordan.py), and kernels are verified by
-multiplying back.  The block reduction of Toeplitz matrices is
-cross-checked against a plain Gauss-Jordan mod p and against the plain
-elimination of the assembled rows.
+multiplying back.  The block reduction of Toeplitz matrices, given block
+row 0, is cross-checked against a plain Gauss-Jordan mod p and against
+the plain elimination of the assembled rows.
 """
 
 from fractions import Fraction
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from virlog import linalg
 from virlog.errors import DomainError, ShapeError
-from virlog.linalg import ExactMatrix, _int_null_space, _prime, _reconstruct, _rref_mod
+from virlog.linalg import ExactMatrix, _lift, _modular_rref, _prime, _reconstruct, _rref_mod
 from virlog.polynomial import MultiPoly, coeff_to_json, sym
 
 from cofactor_determinant import determinant_cofactor
@@ -538,12 +538,13 @@ toeplitz_entries = st.one_of(
 
 @st.composite
 def toeplitz_matrices(draw):
-    """(rows, cols, jordan): a block upper-triangular Toeplitz int matrix
-    of jordan 1-4 block rows, blocks 1-8 columns wide, and each block row
-    1-2 stacked groups of rows, up to two more than the width.  Block row 0
-    comes first and block row i is block row 0 moved i blocks right.  The
-    top block is often singular (zero columns, zero or repeated rows) and
-    some of its columns are multiples of P0, so P0 can be unlucky."""
+    """(top, rows, cols, jordan): block row 0 and the rows of a block
+    upper-triangular Toeplitz int matrix of jordan 1-4 block rows, blocks
+    1-8 columns wide, and each block row 1-2 stacked groups of rows, up to
+    two more than the width.  Block row i is block row 0 moved i blocks
+    right.  The top block is often singular (zero columns, zero or repeated
+    rows) and some of its columns are multiples of P0, so P0 can be
+    unlucky."""
     jordan, n = draw(st.integers(1, 4)), draw(st.integers(1, 8))
     if jordan * n > 20:
         n = 20 // jordan
@@ -564,23 +565,25 @@ def toeplitz_matrices(draw):
             group[i][:n] = [0] * n
         top += group
     rows = [[0] * (i * n) + row[:cols - i * n] for i in range(jordan) for row in top]
-    return rows, cols, jordan
+    return top, rows, cols, jordan
 
 
 @given(toeplitz_matrices())
 @settings(max_examples=150, deadline=None)
 def test_block_reduction_matches_plain_elimination(case):
-    rows, cols, jordan = case
+    top, rows, cols, jordan = case
     for p in (P0, P1):
         want = rref_mod_reference(rows, cols, p)
-        assert _rref_mod(rows, cols, p, jordan) == want
+        assert _rref_mod(top, cols, p, jordan) == want
         assert _rref_mod(rows, cols, p) == want
     reduced, pivots = int_gauss_jordan(rows)
-    kernel = []
-    for f in (f for f in range(cols) if f not in pivots):
-        vec = [Fraction(0)] * cols
-        vec[f] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][f]
-        kernel.append(vec)
-    assert _int_null_space(rows, cols, jordan) == kernel
+    free = [f for f in range(cols) if f not in pivots]
+    want = {f: [reduced[r][f] for r, pc in enumerate(pivots) if pc < f] for f in free}
+    assert _modular_rref(top, cols, jordan) == (pivots, want)
+
+
+def test_lift_checks_every_block_row():
+    # block row 0 [1, 2] annuls v = (-2, 1), block row 1 [0, 1] does not:
+    # the matrix [[1, 2], [0, 1]] has no kernel
+    assert _lift([[1, 2]], [0], {1: [2]}, P0) == {1: [Fraction(2)]}
+    assert _lift([[1, 2]], [0], {1: [2]}, P0, jordan=2) is None

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import straightening_oracle as oracle
-from virlog import linalg, modules
+from virlog import modules
 from virlog.cli import MAX_SYMBOLIC_DET_ROWS
 from virlog.errors import DomainError, ShapeError, SymbolError
 from virlog.linalg import ExactMatrix
@@ -629,16 +629,15 @@ def test_top_block_certificate_skips_the_full_kernel(monkeypatch):
     calls = []
     real = modules._modular_rref
     monkeypatch.setattr(modules, "_modular_rref", lambda *a: calls.append(a) or real(*a))
-    monkeypatch.setattr(modules, "_int_null_space",
-                        lambda *a: calls.append(a) or linalg._int_null_space(*a))
     generic = JordanVermaModule(Fraction(-13, 2), Fraction(-35), 3)
     assert radical_dimension(generic, 6) == 0
     assert singular_vectors(generic, 6) == []
     assert calls == []
-    # on the Kac table the top block is singular and the 33 columns are reduced
+    # on the Kac table the top block is singular and the 33 columns are
+    # reduced, given block row 0: the top block's 11 rows
     kac = JordanVermaModule(*_kac(Fraction(2), 2, 3), 3)
     assert radical_dimension(kac, 6) > 0
-    assert [len(a[0][0]) for a in calls] == [33]
+    assert [(len(a[0]), len(a[0][0])) for a in calls] == [(11, 33)]
 
 
 # -- homomorphism certificate -----------------------------------------------
