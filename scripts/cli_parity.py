@@ -41,8 +41,9 @@ The sweeps:
   - the `fixture` listing, with and without `--json` (`fixture <id>` and
     `report` print seconds, so they stay out);
   - usage errors and help: an unknown verb, `singular` without `--level`,
-    a decimal `--c 0.5`, `--jordan x`, `--help`, `singular --help`, `wlog`
-    with no op and `wlog bracket` with one generator;
+    a decimal `--c 0.5`, `--jordan x`, `--help`, `--help` of `singular`,
+    `det`, `fusion`, `euler-solve` and `wlog bracket`, `wlog` with no op and
+    `wlog bracket` with one generator;
   - the argv shapes on both sides of the split between the verb parsers
     and the top parser: no argv, a verb in the wrong case, a bare
     `singular`, trailing extra tokens after a verb (one and two, and after
@@ -162,7 +163,8 @@ def _usage() -> list:
         ["singular", "--c", "0.5", "--h", "1", "--level", "2"],
         ["singular", *module, "--level", "2", "--jordan", "x"],
         ["--help"],
-        ["singular", "--help"],
+        *[[*verb, "--help"] for verb in (
+            ["singular"], ["det"], ["fusion"], ["euler-solve"], ["wlog", "bracket"])],
         ["wlog"],
         ["wlog", "bracket", "1:1"],
         # a verb-led argv goes straight to its verb's parser, every other

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .errors import DomainError, VirlogError
 from .fusion import (
+    MAX_LEVEL,
     EulerOperator,
     LogSeries,
     determine_b,
@@ -54,8 +55,8 @@ from .wlog import _COCYCLES, CENTRAL, _cocycle_fn, check_jacobi, vacuum_expectat
 # of their own: the parser refuses an int literal above the interpreter's
 # 4,300-digit limit (see rational.parse_rational), and root finding grows
 # about quadratically in the digits, so (s - N)(s - N - 1) with a
-# 4,299-digit constant term, near the largest, takes about 0.8 s.
-MAX_LEVEL = 8  # the default max_level of fusion_indicial
+# 4,299-digit constant term, near the largest, takes about 0.8 s.  The cap
+# on --level is fusion.MAX_LEVEL.
 MAX_JORDAN = 4
 MAX_SYMBOLIC_DET_ROWS = 15  # on --jordan times the partition count of --level
 MAX_JACOBI_LEVEL = 4
@@ -102,9 +103,12 @@ def _generator(token: str):
     )
 
 
-def _add_output_flags(sub):
+def _finish_verb(sub, handler, **defaults):
+    """Add the output flags every verb takes, last, and the verb's handler
+    and defaults: the verb's parser holds its whole namespace."""
     sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
     sub.add_argument("--out", metavar="FILE", help="write the document to FILE")
+    sub.set_defaults(handler=handler, **defaults)
 
 
 def _add_module_flags(sub, symbolic: bool):
@@ -256,110 +260,86 @@ def _cmd_wlog_jacobi(args):
 # -- parser wiring ----------------------------------------------------------
 
 
-# the top parser's defaults; a verb parser's own set_defaults override them
-_DEFAULTS = {"json": False, "out": None, "force_json": False, "handler": None}
+# the module verbs that differ only in help, --symbolic and handler
+_MODULE_VERBS = (
+    ("shapovalov", "Gram matrix of the level pairing", True, _cmd_shapovalov),
+    ("det", "determinant of the level pairing", True, _cmd_det),
+    ("singular", "basis of the singular vectors at a level", False, _cmd_singular),
+    ("radical", "dimension of the pairing radical at a level", False, _cmd_radical),
+)
 
 
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="virlog", description=__doc__)
-    parser.set_defaults(**_DEFAULTS)
-    subs = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
+    subs = parser.add_subparsers(required=True, metavar="VERB")
     parser.verbs = subs.choices  # verb name -> its parser
 
-    sub = subs.add_parser("shapovalov", help="Gram matrix of the level pairing")
-    _add_module_flags(sub, symbolic=True)
-    _add_output_flags(sub)
-    sub.set_defaults(handler=_cmd_shapovalov)
-
-    sub = subs.add_parser("det", help="determinant of the level pairing")
-    _add_module_flags(sub, symbolic=True)
-    _add_output_flags(sub)
-    sub.set_defaults(handler=_cmd_det)
-
-    sub = subs.add_parser("singular", help="basis of the singular vectors at a level")
-    _add_module_flags(sub, symbolic=False)
-    _add_output_flags(sub)
-    sub.set_defaults(handler=_cmd_singular)
-
-    sub = subs.add_parser("radical", help="dimension of the pairing radical at a level")
-    _add_module_flags(sub, symbolic=False)
-    _add_output_flags(sub)
-    sub.set_defaults(handler=_cmd_radical)
+    for verb, summary, symbolic, handler in _MODULE_VERBS:
+        sub = subs.add_parser(verb, help=summary)
+        _add_module_flags(sub, symbolic)
+        _finish_verb(sub, handler)
 
     sub = subs.add_parser(
         "hom-check", help="certify a Jordan pair of singular vectors at a level"
     )
     _add_module_flags(sub, symbolic=False)
-    _add_output_flags(sub)
-    sub.set_defaults(handler=_cmd_hom_check, jordan=2)
+    _finish_verb(sub, _cmd_hom_check, jordan=2)
 
     sub = subs.add_parser("fusion", help="indicial data for a weight pair")
     sub.add_argument("--c", type=_rational, required=True)
     sub.add_argument("--h1", type=_rational, required=True)
     sub.add_argument("--h2", type=_rational, required=True)
     sub.add_argument("--level", type=int, default=None)
-    _add_output_flags(sub)
-    sub.set_defaults(handler=_cmd_fusion, force_json=True)
+    _finish_verb(sub, _cmd_fusion, json=True)
 
     sub = subs.add_parser(
         "euler-solve",
         help='solve an Euler operator against a log series; input JSON {"op": ..., "rhs": ...}',
     )
     sub.add_argument("--input", metavar="FILE", default="-", help="JSON file, - for stdin")
-    _add_output_flags(sub)
-    sub.set_defaults(handler=_cmd_euler_solve, force_json=True)
+    _finish_verb(sub, _cmd_euler_solve, json=True)
 
     sub = subs.add_parser("ope-coeff", help="level-2 descent coefficient 2h/c")
     sub.add_argument("--c", type=_rational, required=True)
     sub.add_argument("--h", type=_rational, required=True)
-    _add_output_flags(sub)
-    sub.set_defaults(handler=_cmd_ope_coeff)
+    _finish_verb(sub, _cmd_ope_coeff)
 
     sub = subs.add_parser("determine-b", help="two-point normalization from a weight")
     sub.add_argument("--h", type=_rational, required=True)
-    _add_output_flags(sub)
-    sub.set_defaults(handler=_cmd_determine_b)
+    _finish_verb(sub, _cmd_determine_b)
 
     sub = subs.add_parser("fixture", help="run one pinned fixture, or list them all")
     sub.add_argument("id", nargs="?", default=None)
-    _add_output_flags(sub)
-    sub.set_defaults(handler=_cmd_fixture)
+    _finish_verb(sub, _cmd_fixture)
 
     sub = subs.add_parser("report", help="run every fixture and print the table")
-    _add_output_flags(sub)
-    sub.set_defaults(handler=_cmd_report)
+    _finish_verb(sub, _cmd_report)
 
     wlog = subs.add_parser("wlog", help="logarithmic Witt algebra operations")
-    wsubs = wlog.add_subparsers(dest="wverb", required=True, metavar="OP")
+    wsubs = wlog.add_subparsers(required=True, metavar="OP")
 
-    sub = wsubs.add_parser("bracket", help="bracket of two generators i:m")
-    sub.add_argument("left", type=_generator)
-    sub.add_argument("right", type=_generator)
-    sub.add_argument("--cocycle", choices=list(_COCYCLES), default="none")
-    _add_output_flags(sub)
-    sub.set_defaults(handler=_cmd_wlog_bracket)
-
-    sub = wsubs.add_parser("cocycle", help="cocycle value on two generators i:m")
-    sub.add_argument("left", type=_generator)
-    sub.add_argument("right", type=_generator)
-    sub.add_argument("--cocycle", choices=list(_COCYCLES), default="residue")
-    _add_output_flags(sub)
-    sub.set_defaults(handler=_cmd_wlog_cocycle)
+    for op, summary, cocycle, handler in (
+        ("bracket", "bracket of two generators i:m", "none", _cmd_wlog_bracket),
+        ("cocycle", "cocycle value on two generators i:m", "residue", _cmd_wlog_cocycle),
+    ):
+        sub = wsubs.add_parser(op, help=summary)
+        sub.add_argument("left", type=_generator)
+        sub.add_argument("right", type=_generator)
+        sub.add_argument("--cocycle", choices=list(_COCYCLES), default=cocycle)
+        _finish_verb(sub, handler)
 
     sub = wsubs.add_parser(
         "vev", help="vacuum expectation of a word of generators (and b factors)"
     )
     sub.add_argument("word", nargs="*", type=_generator)
     sub.add_argument("--cocycle", choices=list(_COCYCLES), default="residue")
-    _add_output_flags(sub)
-    sub.set_defaults(handler=_cmd_wlog_vev)
+    _finish_verb(sub, _cmd_wlog_vev)
 
     sub = wsubs.add_parser("jacobi", help="scan the Jacobi identity up to a bound")
     sub.add_argument("--level", type=int, default=2, help="bound on |i| and |m|")
     sub.add_argument("--cocycle", choices=list(_COCYCLES), default="none")
-    _add_output_flags(sub)
-    sub.set_defaults(handler=_cmd_wlog_jacobi)
+    _finish_verb(sub, _cmd_wlog_jacobi)
 
     return parser
 
@@ -380,9 +360,10 @@ def _emit(document: str, out) -> None:
 def _parse_args(argv):
     """The namespace of _build_parser().parse_args(argv), with the same
     output and exit on a usage error.  A verb-led argv goes straight to the
-    verb's parser: the top parser's pass over it would only hand it on.
-    Every other argv (help, no verb, an unknown verb, a leading option or
-    `--`) is the top parser's."""
+    verb's parser, whose namespace is the one the top parser would return:
+    the top parser's pass over it would only hand it on.  Every other argv
+    (help, no verb, an unknown verb, a leading option or `--`) is the top
+    parser's."""
     parser = _build_parser()
     sub = parser.verbs.get(argv[0]) if argv else None
     if sub is None:
@@ -390,9 +371,6 @@ def _parse_args(argv):
     args, extras = sub.parse_known_args(argv[1:])
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    for key, value in _DEFAULTS.items():
-        vars(args).setdefault(key, value)
-    args.verb = argv[0]
     return args
 
 
@@ -405,8 +383,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         payload, code = args.handler(args)
-        fmt = "json" if (args.json or args.force_json) else "text"
-        _emit(serialize(payload, fmt), args.out)
+        _emit(serialize(payload, "json" if args.json else "text"), args.out)
     except VirlogError as exc:
         sys.stderr.write(f"virlog: error: {exc}\n")
         return 1

@@ -41,7 +41,7 @@ from .polynomial import (
     rational_roots,
     render_terms,
 )
-from .rational import parse_rational, render_rational
+from .rational import parse_rational, render_rational, require_printable
 
 
 def falling(a, n: int):
@@ -280,36 +280,37 @@ class IndicialData:
         }
 
 
+# the highest level fusion_indicial scans for a singular vector, and the
+# CLI's cap on --level
+MAX_LEVEL = 8
+
+
 def indicial_data(vec: ModuleVector, h1, h2) -> IndicialData:
     """The indicial data of a singular vector of M(c, h2) fused with weight
     h1: q(s), and the fusion polynomial q(h3 - h1 - h2) with its roots."""
     h1, h2 = as_fraction(h1), as_fraction(h2)
+    # both polynomials are printed: one that cannot be is refused before
+    # the next step, and before root finding
     q = descent_indicial(vec, h1)
+    require_printable(q.coeffs)
     fus = descent_indicial(vec, h1, -(h1 + h2)).rename("h3")
+    require_printable(fus.coeffs)
     roots, residual = rational_roots(fus)
     return IndicialData(vec.level, q, fus, roots, residual)
 
 
-def fusion_indicial(c, h1, h2, level=None, max_level: int = 8) -> IndicialData:
-    """Full pipeline: lowest singular vector of M(c, h2), descend with weight
-    h1, read off the indicial data."""
+def fusion_indicial(c, h1, h2, level=None) -> IndicialData:
+    """Full pipeline: lowest singular vector of M(c, h2) at level, or up to
+    MAX_LEVEL if level is None, descend with weight h1, read off the
+    indicial data."""
     c, h1, h2 = as_fraction(c), as_fraction(h1), as_fraction(h2)
     mod = JordanVermaModule(c, h2)
-    if level is not None:
-        found = singular_vectors(mod, level)
-        if not found:
-            raise DomainError(f"no singular vector in {mod.describe()} at level {level}")
-    else:
-        found = []
-        for lv in range(1, max_level + 1):
-            found = singular_vectors(mod, lv)
-            if found:
-                break
-        if not found:
-            raise DomainError(
-                f"no singular vector in {mod.describe()} up to level {max_level}"
-            )
-    return indicial_data(found[0], h1, h2)
+    for lv in range(1, MAX_LEVEL + 1) if level is None else (level,):
+        found = singular_vectors(mod, lv)
+        if found:
+            return indicial_data(found[0], h1, h2)
+    where = f"up to level {MAX_LEVEL}" if level is None else f"at level {level}"
+    raise DomainError(f"no singular vector in {mod.describe()} {where}")
 
 
 # -- logarithmic series and the resonance solve -----------------------------

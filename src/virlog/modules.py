@@ -325,13 +325,6 @@ class ModuleVector:
                     pairs.append(((mu, top), q * c if e == _C else q))
         return ModuleVector(self.module, new_level, rational_terms(accumulate(pairs)))
 
-    def apply_word(self, modes) -> "ModuleVector":
-        """Apply a sequence of modes, first element acting first."""
-        vec = self
-        for k in modes:
-            vec = vec.apply_mode(k)
-        return vec
-
     def top_projection(self, top: int) -> "ModuleVector":
         """Keep only the terms with the given top index, relabeled into the
         ordinary Verma module with the same parameters."""

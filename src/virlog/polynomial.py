@@ -656,14 +656,6 @@ class UniPoly:
             acc = acc * point + c
         return acc
 
-    def shift(self, b) -> "UniPoly":
-        """Return p(x + b)."""
-        acc = UniPoly.zero(self.var)
-        xpb = UniPoly(self.var, (b, 1))
-        for c in reversed(self.coeffs):
-            acc = acc * xpb + c
-        return acc
-
     def rename(self, var: str) -> "UniPoly":
         return UniPoly(var, self.coeffs)
 

@@ -39,12 +39,27 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+def _too_long() -> DomainError:
+    return DomainError(
+        f"a result of more than {sys.get_int_max_str_digits()} digits cannot be printed"
+    )
+
+
 def render_rational(q: Fraction) -> str:
     # Fraction.__str__ is already the canonical form.
     try:
         return str(q)
     except ValueError:
         # CPython refuses to convert ints of more digits than its limit
-        raise DomainError(
-            f"a result of more than {sys.get_int_max_str_digits()} digits cannot be printed"
-        ) from None
+        raise _too_long() from None
+
+
+def require_printable(values) -> None:
+    """Raise render_rational's error if one of the rationals in values
+    certainly has more digits than it can print.  An int of bit length n
+    is at least 2^(n-1), and 3 (n - 1) >= 10 d puts that above 10^d, so a
+    value near the limit passes and is left to render_rational."""
+    limit = sys.get_int_max_str_digits()
+    if limit and any(3 * (max(q.numerator.bit_length(), q.denominator.bit_length()) - 1)
+                     >= 10 * limit for q in values):
+        raise _too_long()

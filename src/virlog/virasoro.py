@@ -114,11 +114,6 @@ def _word_commutator(w1: Word, w2: Word) -> dict:
     return result
 
 
-def word_degree(word: Word) -> int:
-    """L(0)-degree of the word: L(-n) raises by n."""
-    return -sum(word)
-
-
 class UEAElement(Combination):
     """Linear combination of canonical PBW words with Coeff coefficients.
 
@@ -180,14 +175,6 @@ class UEAElement(Combination):
         """Anti-involution: L(n) -> L(-n), words reversed, C fixed."""
         return UEAElement(accumulate(
             ((tuple(-m for m in reversed(word)), p), coeff)
-            for (word, p), coeff in self.terms.items()
-        ))
-
-    def specialize_central(self, value) -> "UEAElement":
-        """Replace C by a scalar (Rational or MultiPoly)."""
-        # dropping C keeps every word canonical
-        return self._of(accumulate(
-            ((word, 0), coeff * value**p if p else coeff)
             for (word, p), coeff in self.terms.items()
         ))
 

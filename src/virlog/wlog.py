@@ -96,10 +96,6 @@ class WLogElement(Combination):
     def generator(cls, i: int, m: int, coeff=Fraction(1)) -> "WLogElement":
         return cls({(i, m): coeff})
 
-    @classmethod
-    def central_element(cls, coeff=Fraction(1)) -> "WLogElement":
-        return cls({}, coeff)
-
     @property
     def central(self):
         return self.terms.get(CENTRAL, Fraction(0))

@@ -17,7 +17,7 @@ from unittest import mock
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from virlog.cli import _build_parser, _parse_args, main
@@ -432,12 +432,14 @@ _DISPATCH_ARGVS = [
 @pytest.mark.parametrize("argv", _DISPATCH_ARGVS, ids=" ".join)
 def test_verb_led_argv_parses_as_through_the_top_parser(argv):
     # main() sends a verb-led argv straight to the verb's parser; the
-    # namespace is the one the top parser builds, defaults included
+    # namespace is the one the top parser builds, defaults included, and
+    # the verb's parser holds all of it
     args = vars(_parse_args(argv))
     assert args == vars(_build_parser().parse_args(argv))
-    assert args["verb"] == argv[0]
-    assert {"handler", "force_json", "json", "out"} <= set(args)
-    assert args["force_json"] is (argv[0] in ("fusion", "euler-solve"))
+    assert {"handler", "json", "out"} <= set(args)
+    assert "verb" not in args and "force_json" not in args
+    if argv[0] in ("fusion", "euler-solve"):
+        assert args["json"] is True
     if argv[0] == "hom-check" and "--jordan" not in argv:
         assert args["jordan"] == 2
 
@@ -592,11 +594,17 @@ HUGE_CALL_SECONDS = 0.5
 # and euler-solve with 4,000-digit coefficients and exponent (0.6 s, most
 # of it Fraction gcds in the resonance solve and root refinement)
 HUGE_WEIGHT_SECONDS = 3.0
+# the same for fusion of a 2,400-4,000-digit --h1 with h_{r,s} at level rs
+# 4-6, whose fusion polynomial cannot be printed: refused before root
+# finding, the slowest took 0.19 s (level 6, the two descents); without the
+# refusal, root finding takes 0.2-1.5 s at 2,400 digits and 0.85 s at level
+# 4 with 4,000
+FUSION_REFUSAL_SECONDS = 1.0
 
 
 @st.composite
-def _huge_rationals(draw):
-    num, den = (draw(st.integers(1, 4000).flatmap(
+def _huge_rationals(draw, min_digits=1):
+    num, den = (draw(st.integers(min_digits, 4000).flatmap(
         lambda d: st.integers(10 ** (d - 1), 10 ** d - 1))) for _ in range(2))
     return f"{draw(st.sampled_from(['', '-']))}{num}/{den}"
 
@@ -640,6 +648,29 @@ def test_fusion_with_huge_weights_exits_cleanly(t, label, h1, generic, with_leve
     argv = ["fusion", "--c", str(c), "--h1", h1, "--h2", generic or str(h2)]
     argv += ["--level", str(label[0] * label[1])] * with_level + ["--json"] * as_json
     _exits_cleanly(argv, HUGE_WEIGHT_SECONDS)
+
+
+@settings(max_examples=20, deadline=None)
+@given(t=st.sampled_from(SWEEP_T),
+       label=st.sampled_from([(r, s) for r in range(1, 7) for s in range(1, 7)
+                              if 4 <= r * s <= 6]),
+       h1=_huge_rationals(min_digits=2400), as_json=st.booleans())
+@example(t=Fraction(2, 3), label=(1, 4), h1="7" * 4000 + "/1" + "0" * 3999, as_json=False)
+def test_unprintable_fusion_is_refused_before_root_finding(t, label, h1, as_json):
+    # at these weights a coefficient of the fusion polynomial has degree 2
+    # or more in --h1, so with a denominator of 2,400 digits or more it
+    # cannot be printed
+    assume(Fraction(h1).denominator >= 10 ** 2399)
+    c, h2 = _kac(t, *label)
+    argv = ["fusion", "--c", str(c), "--h1", h1, "--h2", str(h2),
+            "--level", str(label[0] * label[1])] + ["--json"] * as_json
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < FUSION_REFUSAL_SECONDS
+    assert (code, out.getvalue(), err.getvalue()) == (
+        1, "", "virlog: error: a result of more than 4300 digits cannot be printed\n")
 
 
 @settings(max_examples=40, deadline=None)

@@ -215,7 +215,7 @@ def test_family_c1_level3_operator():
 
 def test_fusion_no_singular_vector_errors():
     with pytest.raises(DomainError):
-        fusion_indicial(Fraction(1), Fraction(1), Fraction(1, 3), max_level=4)
+        fusion_indicial(Fraction(1), Fraction(1), Fraction(1, 3))
     with pytest.raises(DomainError):
         fusion_indicial(Fraction(1), Fraction(1), Fraction(1), level=2)
 
@@ -268,9 +268,16 @@ def _outcome(route, *args):
         return str(exc)
 
 
+def _shifted(q: UniPoly, at) -> UniPoly:
+    """q(s + at), by Horner evaluation at the polynomial s + at; a constant
+    comes back as a Fraction and is wrapped."""
+    out = q.evaluate(UniPoly(q.var, (at, 1)))
+    return out if isinstance(out, UniPoly) else UniPoly.const(q.var, out)
+
+
 def _indicial_by_operator(vec, h1, at=Fraction(0)):
     """q(s + at) from the composed Euler operator of vec."""
-    return descent_operator(vec, h1).indicial().shift(at)
+    return _shifted(descent_operator(vec, h1).indicial(), at)
 
 
 big_rationals = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
@@ -311,7 +318,7 @@ def _indicial_data_by_operator(c, h1, h2) -> IndicialData:
     vec = next(found for level in range(1, 9) if (found := singular_vectors(mod, level)))[0]
     op = descent_operator(vec, h1)
     q = op.indicial()
-    fus = q.shift(-(h1 + h2)).rename("h3")
+    fus = _shifted(q, -(h1 + h2)).rename("h3")
     return IndicialData(op.require_homogeneous(), q, fus, *rational_roots(fus))
 
 

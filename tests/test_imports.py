@@ -1,8 +1,8 @@
 """Every imported name is used.
 
-Parses each package module (except __init__.py, which re-exports names)
-and each test file with ast, and lists the names an import binds that the
-file never reads.
+Parses each package module (except __init__.py, which re-exports names),
+each test file and each script with ast, and lists the names an import
+binds that the file never reads.
 """
 
 import ast
@@ -13,6 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for p in (ROOT / "src" / "virlog").glob("*.py") if p.name != "__init__.py")
 FILES += sorted((ROOT / "tests").glob("*.py"))
+FILES += sorted((ROOT / "scripts").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:

@@ -112,13 +112,6 @@ def test_action_jordan_mixing_example():
     assert got == basis_vector(m, (), 1).scale(2)
 
 
-def test_apply_word_order():
-    # first element of the word acts first
-    m = JordanVermaModule("c", "h")
-    vec = basis_vector(m, (1, 1))
-    assert vec.apply_word([1, 1]) == vec.apply_mode(1).apply_mode(1)
-
-
 def test_apply_below_bottom_is_zero():
     m = JordanVermaModule(Fraction(1), Fraction(2))
     assert basis_vector(m, (1,)).apply_mode(5).is_zero()

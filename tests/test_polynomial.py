@@ -278,11 +278,6 @@ def unipolys(draw, var="s", max_deg=5):
     return UniPoly(var, coeffs)
 
 
-@given(unipolys(), fractions_s, fractions_s)
-def test_shift_agrees_with_evaluation(p, b, x):
-    assert p.shift(b).evaluate(x) == p.evaluate(x + b)
-
-
 def test_rational_roots_with_residual():
     x = UniPoly.x("s")
     p = 6 * (x - Fraction(1, 2)) ** 2 * (x + 3) * x * (x * x + 1)

@@ -50,14 +50,13 @@ CASES = [
     (lambda: ModuleVector(M2, 2, {}), "0"),
     # UEAElement: the empty word has an empty body
     (lambda: L(2) * L(-2), "1/2*C + 4*L(0) + L(-2)L(2)"),
-    (lambda: (L(2) * L(-2)).specialize_central(c), "1/2*c + 4*L(0) + L(-2)L(2)"),
     (lambda: UEAElement.from_word((-1, -1), F(-1), cpow=2), "-L(-1)^2C^2"),
     (lambda: UEAElement.one().scale(F(-1)), "-1"),
     (lambda: UEAElement(), "0"),
     # WLogElement: the central term has body b
     (lambda: WLogElement({(0, 1): F(-1), (1, -1): F(1)}, F(-1, 2)), "-t^(0)(1) + t^(1)(-1) - 1/2*b"),
     (lambda: WLogElement({(0, 0): F(2)}, c), "2*t^(0)(0) + (c)*b"),
-    (lambda: WLogElement.central_element(F(-1)), "-b"),
+    (lambda: WLogElement(central=F(-1)), "-b"),
     (lambda: WLogElement(), "0"),
 ]
 

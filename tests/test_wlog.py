@@ -80,7 +80,7 @@ def test_closed_form_antisymmetry_within_domain():
 
 def test_bracket_is_bilinear_on_elements():
     x = gen(-1, 2) + gen(0, 1, F(3))
-    y = gen(1, -2, F(1, 2)) + WLogElement.central_element(F(7))
+    y = gen(1, -2, F(1, 2)) + WLogElement(central=F(7))
     got = wlog_bracket(x, y, "residue")
     want = (
         wlog_bracket((-1, 2), (1, -2), "residue").scale(F(1, 2))
@@ -375,11 +375,11 @@ def test_antiinvolution_is_an_involution():
 
 
 def test_antiinvolution_fixes_central():
-    central = WLogElement.central_element(F(-5, 2))
+    central = WLogElement(central=F(-5, 2))
     e = gen(1, 2, F(3)) + gen(2, -1) + central
     assert antiinvolution(e) == gen(1, -2, F(-3)) + gen(2, 1) + central
-    assert antiinvolution(WLogElement.central_element(B)).central == B
-    assert antiinvolution(CENTRAL) == WLogElement.central_element()
+    assert antiinvolution(WLogElement(central=B)).central == B
+    assert antiinvolution(CENTRAL) == WLogElement(central=F(1))
 
 
 def test_antiinvolution_antiautomorphism_uncentered():
@@ -524,10 +524,10 @@ def test_element_json_roundtrip():
 
 
 def test_element_scale_and_negation_reach_central():
-    e = gen(0, 1, F(2)) + WLogElement.central_element(F(3))
-    assert e.scale(F(-1, 3)) == gen(0, 1, F(-2, 3)) + WLogElement.central_element(F(-1))
+    e = gen(0, 1, F(2)) + WLogElement(central=F(3))
+    assert e.scale(F(-1, 3)) == gen(0, 1, F(-2, 3)) + WLogElement(central=F(-1))
     assert e.scale(B).central == 3 * B
-    assert -e == gen(0, 1, F(-2)) + WLogElement.central_element(F(-3))
+    assert -e == gen(0, 1, F(-2)) + WLogElement(central=F(-3))
     assert (-e).central == -3 and (e - e).central == 0
     assert (e + -e).is_zero()
 
