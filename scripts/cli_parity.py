@@ -15,13 +15,19 @@ and exits 1 if there is any, else 0.
 
 The sweeps:
   - `fusion` on the c = 1 grid h1 = m^2/4, h2 = n^2/4, 1 <= n <= m <= 4;
-  - `fusion` on the Kac table c = 13 - 6(t + 1/t), h2 = h_{r,s} with
+  - `fusion` on the Kac table (virlog.kac_weight), h2 = h_{r,s} with
     rs <= 6, fused with h1 = h_{1,2} and h_{2,1}, for the t of the
     benchmark's numeric sweep;
   - both with and without `--json`, and with and without `--level`;
   - `determine-b` at every h = a/b with |a| <= 12 and 1 <= b <= 8, which
     takes in 5/8 and the degenerate weights 0 and 1, with and without
     `--json`;
+  - `ope-coeff` on a grid of (c, h) that takes in c = 0, with and without
+    `--json`;
+  - `euler-solve --input FILE` on fixture 06a's operator and rhs, and on
+    documents with log powers, repeated indicial roots and symbolic `b`
+    coefficients, each written once to a temporary directory that both
+    trees read;
   - the module verbs at levels 0-6 and `--jordan` 1-3, with and without
     `--json`: `det`, `singular`, `radical` and, at `--jordan` 1 and 2,
     `hom-check` on Kac weights h_{r,s} with rs the level and on two generic
@@ -89,13 +95,8 @@ DEEP_LEVELS = (7, 8)  # the CLI's MAX_LEVEL is 8
 DEEP_JORDAN = 4  # virlog.cli.MAX_JORDAN
 SYMBOLIC_DET_ROWS = 15  # virlog.cli.MAX_SYMBOLIC_DET_ROWS
 GENERIC_WEIGHTS = ((Fraction(1, 3), Fraction(2, 7)), (Fraction(-7, 2), Fraction(5, 9)))
-
-
-def _kac(t: Fraction, r: int, s: int):
-    """(c, h_{r,s}) on the Kac table with c = 13 - 6(t + 1/t)."""
-    c = 13 - 6 * (t + 1 / t)
-    h = Fraction(r * r - 1, 4) * t - Fraction(r * s - 1, 2) + Fraction(s * s - 1, 4) / t
-    return c, h
+OPE_C = ("0", "1", "-2", "1/2", "-7/3")  # the ope-coeff grid
+OPE_H = ("0", "5/8", "-1/8", "1/3", "-12/5")
 
 
 def _fusion(c, h1, h2, level: int) -> list:
@@ -106,13 +107,13 @@ def _fusion(c, h1, h2, level: int) -> list:
             for fmt in ([], ["--json"])]
 
 
-def _modules() -> list:
+def _modules(kac_weight) -> list:
     """The module verbs, with and without --json, and their refusals."""
     formats = ([], ["--json"])
     argvs = []
     for level in (*range(len(PARTITION_COUNTS)), *DEEP_LEVELS):
         labels = [(r, level // r) for r in range(1, level + 1) if level % r == 0]
-        weights = [_kac(T_VALUES[k % len(T_VALUES)], r, s) for k, (r, s) in enumerate(labels)]
+        weights = [kac_weight(T_VALUES[k % len(T_VALUES)], r, s) for k, (r, s) in enumerate(labels)]
         for jordan in range(1, DEEP_JORDAN + 1):
             shallow = level < len(PARTITION_COUNTS) and jordan < DEEP_JORDAN
             sizes = ["--level", str(level), "--jordan", str(jordan)]
@@ -149,6 +150,47 @@ def _wlog(readme: list) -> list:
                 argvs += [["wlog", verb, a, b] + opts for a in gens for b in gens]
             argvs += [["wlog", "jacobi", "--level", str(level)] + opts for level in (1, 2)]
             argvs += [["wlog", "vev", *word] + opts for word in words]
+    return argvs
+
+
+def _ope_coeff() -> list:
+    """ope-coeff on a (c, h) grid with c = 0 in it, with and without --json."""
+    return [["ope-coeff", "--c", c, "--h", h] + fmt
+            for c in OPE_C for h in OPE_H for fmt in ([], ["--json"])]
+
+
+def _b(*terms):
+    """A polynomial in b: (coefficient, power of b) pairs."""
+    return {"vars": ["b"], "terms": [{"coeff": q, "exps": [p]} for q, p in terms]}
+
+
+def _euler_docs() -> list:
+    """Documents {"op": ..., "rhs": ...} for euler-solve: operator terms
+    (xpow, dorder, coeff) and rhs terms (exponent, logpower, coeff)."""
+    fixture_06a = [(0, 2, "1"), (-1, 1, "3/2"), (-2, 0, "-15/16")]
+    double_root = [(0, 2, "1"), (-1, 1, "1")]  # indicial s^2
+    cases = [
+        (fixture_06a, [("-5/4", 0, _b(("2/3", 1)))]),
+        (fixture_06a, [("-5/4", 2, _b(("1", 2), ("1/3", 0)))]),
+        (fixture_06a, [("1/2", 3, "7"), ("3/4", 1, _b(("-2", 1)))]),
+        (double_root, [("0", 1, _b(("1", 1)))]),
+        (double_root, [("2", 0, "1"), ("0", 0, "5")]),
+        ([(0, 3, "1"), (-3, 0, "-6")], [("1", 2, _b(("1", 1), ("1", 0)))]),
+        ([(0, 2, _b(("1", 1)))], [("0", 0, "1")]),
+    ]
+    return [{"op": {"terms": [{"xpow": x, "dorder": d, "coeff": q} for x, d, q in op]},
+             "rhs": {"terms": [{"exponent": e, "logpower": p, "coeff": q} for e, p, q in rhs]}}
+            for op, rhs in cases]
+
+
+def _euler_solve(inputs: Path) -> list:
+    """euler-solve --input on each of _euler_docs, written into inputs."""
+    inputs.mkdir()
+    argvs = []
+    for i, doc in enumerate(_euler_docs()):
+        path = inputs / f"euler-{i}.json"
+        path.write_text(json.dumps(doc))
+        argvs.append(["euler-solve", "--input", str(path)])
     return argvs
 
 
@@ -201,7 +243,14 @@ def _usage() -> list:
     ]
 
 
-def sweeps() -> list:
+def sweeps(inputs: Path) -> list:
+    """Every argv of the run; the input files go into the new directory
+    inputs."""
+    # the working tree's virlog, imported here: at module level it would
+    # also load in each tree's --worker, which must use that tree's src/
+    sys.path.insert(0, str(ROOT / "src"))
+    from virlog import kac_weight
+
     argvs = []
     for m in range(1, 5):
         for n in range(1, m + 1):
@@ -209,16 +258,17 @@ def sweeps() -> list:
     labels = [(r, s) for r in range(1, 7) for s in range(1, 7) if r * s <= 6]
     for t in T_VALUES:
         for r, s in labels:
-            c, h2 = _kac(t, r, s)
+            c, h2 = kac_weight(t, r, s)
             for partner in ((1, 2), (2, 1)):
-                argvs += _fusion(c, _kac(t, *partner)[1], h2, r * s)
+                argvs += _fusion(c, kac_weight(t, *partner)[1], h2, r * s)
     weights = {Fraction(a, b) for a in range(-B_NUMERATOR, B_NUMERATOR + 1)
                for b in range(1, B_DENOMINATOR + 1)}
     for h in sorted(weights):
         argvs += [["determine-b", "--h", str(h)], ["determine-b", "--h", str(h), "--json"]]
     readme = [shlex.split(line)[2:] for line in (ROOT / "README.md").read_text().splitlines()
               if line.startswith("$ virlog ")]
-    return argvs + _modules() + _wlog(readme) + _usage() + readme
+    return (argvs + _modules(kac_weight) + _wlog(readme) + _usage() + readme
+            + _ope_coeff() + _euler_solve(inputs))
 
 
 def worker() -> int:
@@ -278,12 +328,12 @@ def main(argv=None) -> int:
     if args.worker:
         return worker()
 
-    argvs = sweeps()
     base_rev = git("rev-parse", args.base)
     with tempfile.TemporaryDirectory(prefix="parity-base-") as tmp:
+        argvs = sweeps(Path(tmp) / "inputs")
         extract(base_rev, Path(tmp))
         base = run_tree(Path(tmp) / "tree", argvs)
-    change = run_tree(ROOT, argvs)
+        change = run_tree(ROOT, argvs)
     differ = [(a, b, c) for a, b, c in zip(argvs, base, change) if b != c]
     for item in differ[:SHOWN]:
         _show(*item)

@@ -44,6 +44,7 @@ _HOMES = {
         "check_hom_pair",
         "density_action",
         "density_apply",
+        "kac_weight",
         "level_basis",
         "radical_dimension",
         "shapovalov_determinant",

@@ -48,12 +48,15 @@ from .wlog import _COCYCLES, CENTRAL, _cocycle_fn, check_jacobi, vacuum_expectat
 # determinant's time grows steeply with its row count: at 15 rows level 7
 # takes about 6 s, 22 rows (level 6, jordan 2) about 39 s.  An euler-solve
 # operator's largest derivative order is the degree of its indicial
-# polynomial: the slowest root finding found, 32 or 64 close rational roots
-# with 7-digit denominators, takes 0.6 s at degree 32 and 7 s at 64.  The
-# solve's work grows with the square of the rhs log power: 0.25 s at 64
-# and 0.7 s at 128 on a degree-32 operator.  Its coefficients need no cap
-# of their own: the parser refuses an int literal above the interpreter's
-# 4,300-digit limit (see rational.parse_rational), and root finding grows
+# polynomial: the slowest root finding found, on the close rational roots
+# (10^12 + k)/(10^6 + 1), k = 1..n, takes 0.18 s at degree 32 (also the
+# whole euler-solve) and 1.7 s at 64.  The solve's work grows with the rhs
+# log power: x^(1/2) log(x)^64 on a degree-32 operator takes 0.3-0.5 s
+# with roots 1..32 or k/7, but 9.6 s with the close roots, whose result
+# is then too long to print (2-core x86-64, Python 3.11).  Its
+# coefficients need no cap of their own: the parser refuses an int
+# literal above the interpreter's 4,300-digit limit (see
+# rational.parse_rational), and root finding grows
 # about quadratically in the digits, so (s - N)(s - N - 1) with a
 # 4,299-digit constant term, near the largest, takes about 0.8 s.  The cap
 # on --level is fusion.MAX_LEVEL.

@@ -41,7 +41,7 @@ from .polynomial import (
     rational_roots,
     render_terms,
 )
-from .rational import parse_rational, render_rational, require_printable
+from .rational import _integer, parse_rational, render_rational, require_printable
 
 
 def falling(a, n: int):
@@ -49,18 +49,6 @@ def falling(a, n: int):
     out = Fraction(1)
     for t in range(n):
         out *= a - t
-    return out
-
-
-def _integer(value, what: str) -> int:
-    """value as an int.  A string or float that int() reads exactly passes;
-    a bool or a value with a fractional part is refused."""
-    try:
-        out = int(value)
-    except (ValueError, OverflowError) as exc:
-        raise ParseError(f"{what} must be an integer: {exc}") from None
-    if isinstance(value, bool) or (out != value and not isinstance(value, str)):
-        raise ParseError(f"{what} must be an integer, got {value!r}")
     return out
 
 

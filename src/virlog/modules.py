@@ -67,7 +67,7 @@ from .polynomial import (
     render_terms,
     sym,
 )
-from .rational import parse_rational, render_rational
+from .rational import _integer, parse_rational, render_rational
 
 Param = Union[Fraction, str]
 
@@ -105,6 +105,7 @@ class JordanVermaModule:
     jordan: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "jordan", _integer(self.jordan, "jordan size"))
         if self.jordan < 1:
             raise DomainError("jordan size must be at least 1")
         object.__setattr__(self, "c", _check_param(self.c, ("c",)))
@@ -385,10 +386,11 @@ class ModuleVector:
         try:
             mod = JordanVermaModule.from_json(obj["module"])
             terms = {
-                (tuple(t["word"]), t["top"]): coeff_from_json(t["coeff"])
+                (tuple(_integer(p, "word part") for p in t["word"]), _integer(t["top"], "top")):
+                    coeff_from_json(t["coeff"])
                 for t in obj["terms"]
             }
-            return cls(mod, obj["level"], terms)
+            return cls(mod, _integer(obj["level"], "level"), terms)
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed module vector: {exc}") from exc
 
@@ -440,7 +442,9 @@ def _blocks(table, mod: JordanVermaModule, ks) -> tuple:
     entries are {(a, b): int} term dicts of c^a h^b and scale is den.
     Numeric entries are summed in ints and scale is the common denominator
     den * cd^A * hd^B, c = cn/cd and h = hn/hd.  Block k takes C(b, k) from
-    one binomial row.
+    one binomial row, and a numeric block takes each monomial's value from
+    one table of at most (A + 1)(B + 1) products, so an entry costs one
+    multiplication a term.
     """
     den, amax, bmax, rows = table
     if mod.symbolic:
@@ -458,9 +462,10 @@ def _blocks(table, mod: JordanVermaModule, ks) -> tuple:
         scale = den * cd**amax * hd**bmax
 
         def block(k):
-            # C(b, k) h^(b - k) hd^B, by the power b of h
+            # weight[b] is C(b, k) h^(b - k) hd^B, and mono[a][b] is c^a cd^A times it
             weight = [comb(b, k) * hpow[b - k] if b >= k else 0 for b in range(bmax + 1)]
-            return [[sum(num * cpow[a] * weight[b] for num, a, b in entry) for entry in row]
+            mono = [[ca * w for w in weight] for ca in cpow]
+            return [[sum(num * mono[a][b] for num, a, b in entry) for entry in row]
                     for row in rows]
 
     return [block(k) for k in ks], scale
@@ -679,6 +684,25 @@ def check_hom_pair(s1: ModuleVector, s2: ModuleVector) -> bool:
     if s2.apply_mode(0) != s2.scale(weight) + s1:
         return False
     return True
+
+
+# -- the Kac table ----------------------------------------------------------
+
+
+def kac_weight(t, r: int, s: int) -> tuple:
+    """(c, h) of the Kac table at t and labels r, s >= 1, as Fractions:
+
+        c(t) = 13 - 6 (t + 1/t),   h_{r,s}(t) = ((r t - s)^2 - (t - 1)^2) / (4t).
+
+    The Shapovalov determinant of M(c(t), h) vanishes at h = h_{r,s}(t)
+    from level rs on.  The table is symmetric under (t, r, s) -> (1/t, s, r).
+    """
+    t = Fraction(t)
+    if t == 0:
+        raise DomainError("the Kac table needs t != 0")
+    if r < 1 or s < 1:
+        raise DomainError(f"Kac labels must be at least 1, got ({r}, {s})")
+    return 13 - 6 * (t + 1 / t), ((r * t - s) ** 2 - (t - 1) ** 2) / (4 * t)
 
 
 # -- density modules --------------------------------------------------------

@@ -53,7 +53,7 @@ from .intpoly import (
     squarefree_rational_roots,
     sturm_chain,
 )
-from .rational import parse_rational, render_rational
+from .rational import _integer, parse_rational, render_rational
 
 # The fixed symbol registry.  Order matters: it is the significance order for
 # the graded-lex term order, and vars tuples are always subsequences of it.
@@ -327,7 +327,8 @@ class MultiPoly:
         try:
             vars = tuple(obj["vars"])
             terms = {
-                tuple(t["exps"]): parse_rational(t["coeff"]) for t in obj["terms"]
+                tuple(_integer(e, "exponent") for e in t["exps"]): parse_rational(t["coeff"])
+                for t in obj["terms"]
             }
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed polynomial object: {exc}") from exc
@@ -690,9 +691,12 @@ class UniPoly:
     def from_json(cls, obj: dict) -> "UniPoly":
         try:
             (var,) = obj["vars"]
-            pairs = [(t["exps"][0], coeff_from_json(t["coeff"])) for t in obj["terms"]]
+            pairs = [(_integer(t["exps"][0], "exponent"), coeff_from_json(t["coeff"]))
+                     for t in obj["terms"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed univariate polynomial object: {exc}") from exc
+        if any(k < 0 for k, _ in pairs):
+            raise ParseError("univariate polynomial exponents must be nonnegative")
         coeffs = [Fraction(0)] * (max((k for k, _ in pairs), default=-1) + 1)
         for k, c in pairs:
             coeffs[k] = coeffs[k] + c

@@ -39,6 +39,18 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+def _integer(value, what: str) -> int:
+    """value as an int.  A string or float that int() reads exactly passes;
+    a bool, a value with a fractional part or a non-number is refused."""
+    try:
+        out = int(value)
+    except (ValueError, OverflowError, TypeError) as exc:
+        raise ParseError(f"{what} must be an integer: {exc}") from None
+    if isinstance(value, bool) or (out != value and not isinstance(value, str)):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return out
+
+
 def _too_long() -> DomainError:
     return DomainError(
         f"a result of more than {sys.get_int_max_str_digits()} digits cannot be printed"

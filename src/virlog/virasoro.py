@@ -45,6 +45,7 @@ from .polynomial import (
     rational_terms,
     render_terms,
 )
+from .rational import _integer
 
 Word = tuple  # tuple of mode indices
 
@@ -208,7 +209,8 @@ class UEAElement(Combination):
     def from_json(cls, obj: list) -> "UEAElement":
         try:
             raw = {
-                (tuple(t["word"]), t.get("cpow", 0)): coeff_from_json(t["coeff"])
+                (tuple(_integer(n, "mode") for n in t["word"]),
+                 _integer(t.get("cpow", 0), "cpow")): coeff_from_json(t["coeff"])
                 for t in obj
             }
         except (KeyError, TypeError) as exc:

@@ -57,7 +57,7 @@ from .polynomial import (
     render_terms,
     sym,
 )
-from .rational import render_rational
+from .rational import _integer, render_rational
 
 CENTRAL = "b"
 
@@ -125,7 +125,8 @@ class WLogElement(Combination):
     def from_json(cls, obj: dict) -> "WLogElement":
         try:
             return cls(
-                {(t["i"], t["m"]): coeff_from_json(t["coeff"]) for t in obj["terms"]},
+                {(_integer(t["i"], "log index i"), _integer(t["m"], "mode m")):
+                 coeff_from_json(t["coeff"]) for t in obj["terms"]},
                 coeff_from_json(obj["central"]),
             )
         except (KeyError, TypeError) as exc:

@@ -32,7 +32,13 @@ from virlog.fusion import (
     ope_level2_coefficient,
     solve_euler,
 )
-from virlog.modules import JordanVermaModule, ModuleVector, shapovalov_matrix, singular_vectors
+from virlog.modules import (
+    JordanVermaModule,
+    ModuleVector,
+    kac_weight,
+    shapovalov_matrix,
+    singular_vectors,
+)
 from virlog.polynomial import MultiPoly, UniPoly, rational_roots, sym
 
 
@@ -235,22 +241,15 @@ T_VALUES = tuple(Fraction(p, q) for p, q in
                  [(1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (3, 2), (2, 3), (3, 4)])
 
 
-def _kac(t, r, s):
-    """(c, h_{r,s}) on the Kac table with c = 13 - 6(t + 1/t)."""
-    c = 13 - 6 * (t + 1 / t)
-    h = Fraction(r * r - 1, 4) * t - Fraction(r * s - 1, 2) + Fraction(s * s - 1, 4) / t
-    return c, h
-
-
 @cache
-def _kac_singular_vectors():
+def _bottom_singular_vectors():
     """(h2, v) for the bottom-layer singular vectors v of M(c, h_{r,s}) at
     level rs <= 7, in Jordan blocks of size 1 and 2."""
     out = []
     for t in T_VALUES:
         for r in range(1, 8):
             for s in range(1, 7 // r + 1):
-                c, h2 = _kac(t, r, s)
+                c, h2 = kac_weight(t, r, s)
                 for jordan in (1, 2):
                     out.extend(
                         (h2, v)
@@ -286,7 +285,7 @@ big_rationals = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 1
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_descent_indicial_matches_the_operator_route(data):
-    h2, vec = data.draw(st.sampled_from(_kac_singular_vectors()))
+    h2, vec = data.draw(st.sampled_from(_bottom_singular_vectors()))
     h1 = data.draw(st.one_of(st.just(Fraction(0)), st.just(h2), big_rationals))
     at = data.draw(st.one_of(st.just(Fraction(0)), st.just(-(h1 + h2)), big_rationals))
     got = _outcome(descent_indicial, vec, h1, at)

@@ -31,6 +31,7 @@ from virlog.modules import (
     check_hom_pair,
     density_action,
     density_apply,
+    kac_weight,
     level_basis,
     partitions,
     radical_dimension,
@@ -225,6 +226,50 @@ def test_mode_action_matches_enveloping_route():
                 assert got.coeff((mu, j)) == q, (lam, top, k, mu, j)
 
 
+# -- the Kac table ----------------------------------------------------------
+
+KAC_T = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3), Fraction(2, 3), Fraction(3, 4),
+         Fraction(-5, 7), Fraction(7, 3))
+
+
+def test_kac_weight_matches_the_expanded_form():
+    # c = 1 - 6 (t - 1)^2 / t, and h_{r,s} expanded in powers of t
+    for t in KAC_T:
+        for r in range(1, 7):
+            for s in range(1, 7):
+                c, h = kac_weight(t, r, s)
+                assert c == 1 - 6 * (t - 1) ** 2 / t
+                assert h == (r * r - 1) * t / 4 - Fraction(r * s - 1, 2) + (s * s - 1) / (4 * t)
+                assert kac_weight(1 / t, s, r) == (c, h)
+
+
+def test_kac_weight_at_the_fixture_weights():
+    # 04a: c = 1, h = 1 (level 3); 04c: c = 0, h = 0 (level 1); 05a and 06b:
+    # c = 0, h = 5/8; 05b: c = -2, h = -1/8; 05c: c = 1, h = m^2/4
+    assert kac_weight(1, 3, 1) == kac_weight(1, 1, 3) == (1, 1)
+    assert kac_weight(Fraction(2, 3), 1, 1) == (0, 0)
+    assert kac_weight(Fraction(2, 3), 1, 2) == (0, Fraction(5, 8))
+    assert kac_weight(2, 1, 2) == (-2, Fraction(-1, 8))
+    assert [kac_weight(1, m + 1, 1) for m in range(4)] == [(1, Fraction(m * m, 4))
+                                                            for m in range(4)]
+    # the literature's (1, s) at c = 0 (Mathieu and Ridout) is (s, 1) here
+    assert [kac_weight(Fraction(2, 3), s, 1)[1] for s in range(1, 6)] == [
+        0, 0, Fraction(1, 3), 1, 2]
+
+
+def test_kac_weight_of_an_int_t_is_exact():
+    for t, r, s, want in ((3, 1, 2, Fraction(-1, 4)), (2, 3, 1, 3), (-1, 1, 2, Fraction(-5, 4))):
+        c, h = kac_weight(t, r, s)
+        assert (type(c), type(h), h) == (Fraction, Fraction, want)
+
+
+@pytest.mark.parametrize("t, r, s", [(0, 1, 1), (Fraction(0), 2, 1), (1, 0, 1), (1, 1, 0),
+                                     (2, -1, 3)])
+def test_kac_weight_refuses_t_zero_and_labels_below_one(t, r, s):
+    with pytest.raises(DomainError):
+        kac_weight(t, r, s)
+
+
 # -- Gram matrices ----------------------------------------------------------
 
 
@@ -241,13 +286,6 @@ def _typed_vector(vec):
     return vec.module, vec.level, {label: _typed(q) for label, q in vec.terms.items()}
 
 
-def _kac(t, r, s):
-    """(c, h_{r,s}) on the Kac table with c = 13 - 6(t + 1/t)."""
-    c = 13 - 6 * (t + 1 / t)
-    h = Fraction(r * r - 1, 4) * t - Fraction(r * s - 1, 2) + Fraction(s * s - 1, 4) / t
-    return c, h
-
-
 huge = st.integers(2**64, 2**70)
 numeric_params = st.one_of(
     st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(-1, 2)]),
@@ -256,7 +294,7 @@ numeric_params = st.one_of(
     st.builds(Fraction, huge.map(lambda n: -n) | huge, st.integers(1, 9)),
 )
 kac_points = st.builds(
-    _kac,
+    kac_weight,
     st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3), Fraction(2, 3)]),
     st.integers(1, 4),
     st.integers(1, 4),
@@ -460,7 +498,8 @@ def test_numeric_determinant_from_int_rows():
             if level:
                 # a Kac weight at the level, where the determinant is 0
                 labels = [(r, level // r) for r in range(1, level + 1) if level % r == 0]
-                points.append(_kac(rng.choice([Fraction(2), Fraction(2, 3)]), *rng.choice(labels)))
+                t = rng.choice([Fraction(2), Fraction(2, 3)])
+                points.append(kac_weight(t, *rng.choice(labels)))
             for c, h in points:
                 mod = JordanVermaModule(c, h, jordan)
                 got = shapovalov_determinant(mod, level)
@@ -580,7 +619,7 @@ def jordan_cases(draw):
     level, jordan = draw(st.integers(1, 6)), draw(st.integers(2, 4))
     if draw(st.booleans()):
         labels = [(r, level // r) for r in range(1, level + 1) if level % r == 0]
-        c, h = _kac(draw(st.sampled_from(SWEEP_T)), *draw(st.sampled_from(labels)))
+        c, h = kac_weight(draw(st.sampled_from(SWEEP_T)), *draw(st.sampled_from(labels)))
     else:
         c, h = (Fraction(draw(st.integers(-40, 40)), draw(st.integers(1, 9))) for _ in range(2))
     return JordanVermaModule(c, h, jordan), level
@@ -628,7 +667,7 @@ def test_top_block_certificate_skips_the_full_kernel(monkeypatch):
     assert calls == []
     # on the Kac table the top block is singular and the 33 columns are
     # reduced, given block row 0: the top block's 11 rows
-    kac = JordanVermaModule(*_kac(Fraction(2), 2, 3), 3)
+    kac = JordanVermaModule(*kac_weight(Fraction(2), 2, 3), 3)
     assert radical_dimension(kac, 6) > 0
     assert [(len(a[0]), len(a[0][0])) for a in calls] == [(11, 33)]
 
@@ -700,7 +739,7 @@ def test_hom_certificate_rests_on_the_nilpotent_part():
     for level in range(1, 7):
         for t in SWEEP_T:
             for r in (r for r in range(1, level + 1) if level % r == 0):
-                mod = JordanVermaModule(*_kac(t, r, level // r), 2)
+                mod = JordanVermaModule(*kac_weight(t, r, level // r), 2)
                 found = singular_vectors(mod, level)
                 partnered = False
                 for s2 in found:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from virlog.errors import DomainError
+from virlog.errors import DomainError, ParseError
 from virlog.fixtures import run_fixture
 from virlog.fusion import EulerOperator, LogSeries, fusion_indicial
 from virlog.linalg import ExactMatrix
@@ -205,8 +205,54 @@ def _one_value_of_each_kind():
 @pytest.mark.parametrize("kind", sorted(_one_value_of_each_kind()))
 def test_serialize_json_matches_json_dumps_for_every_kind(kind):
     value = _one_value_of_each_kind()[kind]
-    assert serialize(value, "json") == oracle(to_document(value))
-    assert deserialize(serialize(value, "json"), kind) == value
+    doc = serialize(value, "json")
+    assert doc == oracle(to_document(value))
+    assert deserialize(doc, kind) == value
+    assert serialize(deserialize(doc, kind), "json") == doc
+
+
+# -- integer fields ---------------------------------------------------------
+
+_MODULE = {"c": "1", "h": "1", "jordan": 1}
+
+
+def _vector(level=1, word=(1,), top=1):
+    return {"module": _MODULE, "level": level,
+            "terms": [{"word": list(word), "top": top, "coeff": "1"}]}
+
+
+@pytest.mark.parametrize("kind, doc", [
+    ("multipoly", {"vars": ["b"], "terms": [{"coeff": "1", "exps": [1.5]}]}),
+    ("multipoly", {"vars": ["b"], "terms": [{"coeff": "1", "exps": [True]}]}),
+    ("unipoly", {"vars": ["x"], "terms": [{"coeff": "1", "exps": [1.5]}]}),
+    ("unipoly", {"vars": ["x"], "terms": [{"coeff": "1", "exps": [-1]}]}),
+    ("unipoly", {"vars": ["x"], "terms": [{"coeff": "1", "exps": [None]}]}),
+    ("module", {**_MODULE, "jordan": 2.5}),
+    ("module", {**_MODULE, "jordan": True}),
+    ("module-vector", _vector(level=1.5)),
+    ("module-vector", _vector(level=True)),
+    ("module-vector", _vector(top=True)),
+    ("module-vector", _vector(word=[True])),
+    ("enveloping", [{"word": [1.5], "cpow": 0, "coeff": "1"}]),
+    ("enveloping", [{"word": [-1], "cpow": True, "coeff": "1"}]),
+    ("wlog-element", {"central": "0", "terms": [{"i": True, "m": 1, "coeff": "1"}]}),
+    ("wlog-element", {"central": "0", "terms": [{"i": 1, "m": 1.5, "coeff": "1"}]}),
+], ids=["multipoly-1.5", "multipoly-true", "unipoly-1.5", "unipoly-negative", "unipoly-null",
+        "jordan-2.5", "jordan-true", "level-1.5", "level-true", "top-true", "word-true",
+        "enveloping-mode-1.5", "enveloping-cpow-true", "wlog-i-true", "wlog-m-1.5"])
+def test_non_integer_fields_are_refused(kind, doc):
+    with pytest.raises(ParseError):
+        deserialize(json.dumps(doc), kind)
+
+
+def test_integral_spellings_of_integer_fields_are_read_as_integers():
+    # int() reads a string or an integral float exactly, as the euler-solve
+    # fields do: "jordan": "2" was refused before the integer check
+    mod = deserialize(json.dumps({**_MODULE, "jordan": "2"}), "module")
+    assert mod == JordanVermaModule(Fraction(1), Fraction(1), 2)
+    assert type(mod.jordan) is int
+    vec = deserialize(json.dumps(_vector(level=2.0, word=["1", 1])), "module-vector")
+    assert vec == basis_vector(JordanVermaModule(Fraction(1), Fraction(1)), (1, 1))
 
 
 def test_serialize_json_matches_json_dumps_for_the_report_document():
