@@ -25,9 +25,9 @@ The sweeps:
   - `ope-coeff` on a grid of (c, h) that takes in c = 0, with and without
     `--json`;
   - `euler-solve --input FILE` on fixture 06a's operator and rhs, and on
-    documents with log powers, repeated indicial roots and symbolic `b`
-    coefficients, each written once to a temporary directory that both
-    trees read;
+    documents with log powers, repeated indicial roots (resonances at
+    multiplicity 0 to 3) and symbolic `b` coefficients, each written once
+    to a temporary directory that both trees read;
   - the module verbs at levels 0-6 and `--jordan` 1-3, with and without
     `--json`: `det`, `singular`, `radical` and, at `--jordan` 1 and 2,
     `hom-check` on Kac weights h_{r,s} with rs the level and on two generic
@@ -169,12 +169,17 @@ def _euler_docs() -> list:
     (xpow, dorder, coeff) and rhs terms (exponent, logpower, coeff)."""
     fixture_06a = [(0, 2, "1"), (-1, 1, "3/2"), (-2, 0, "-15/16")]
     double_root = [(0, 2, "1"), (-1, 1, "1")]  # indicial s^2
+    triple_root = [(0, 3, "1"), (-1, 2, "3"), (-2, 1, "1")]  # indicial s^3
     cases = [
         (fixture_06a, [("-5/4", 0, _b(("2/3", 1)))]),
         (fixture_06a, [("-5/4", 2, _b(("1", 2), ("1/3", 0)))]),
         (fixture_06a, [("1/2", 3, "7"), ("3/4", 1, _b(("-2", 1)))]),
         (double_root, [("0", 1, _b(("1", 1)))]),
         (double_root, [("2", 0, "1"), ("0", 0, "5")]),
+        # resonances at s = 0 on a double and on a triple root: (5/6) log(x)^3
+        # for the first
+        (double_root, [("-2", 1, "5")]),
+        (triple_root, [("-3", 2, _b(("1", 1)))]),
         ([(0, 3, "1"), (-3, 0, "-6")], [("1", 2, _b(("1", 1), ("1", 0)))]),
         ([(0, 2, _b(("1", 1)))], [("0", 0, "1")]),
     ]

@@ -11,9 +11,11 @@ hits a multiple root of q.
 
 The indicial polynomial is multiplicative on homogeneous operators: if A
 sends x^s to a(s) x^(s-n) and B sends it to b(s) x^(s-m), then A B sends it
-to a(s - m) b(s) x^(s-n-m).  So fusion_indicial does not build the Euler
-operator of a singular vector: descent_indicial reads q from its words, as
-sums of products of linear factors in ints, and so does determine_b.
+to a(s - m) b(s) x^(s-n-m).  So descent_indicial reads q from the words of
+a singular vector, in ints, without building its Euler operator, once per
+fusion and per determine_b.  Every other number is q at a point, read from
+its Taylor coefficients there (_taylor): the fusion polynomial
+q(h3 - h1 - h2), b from q and q' at 2 - 2h, and each resonance term.
 descent_operator and its indicial polynomial are the tests' reference:
 descent_operator, descent_word, descent_factor, EulerOperator.compose and
 falling have no other caller here, and stay until the benchmark's
@@ -23,6 +25,7 @@ fusion.descent span, which wraps descent_operator, is retargeted.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,11 +55,14 @@ def falling(a, n: int):
     return out
 
 
-def _falling_poly(var: str, n: int) -> UniPoly:
-    out = UniPoly.const(var, Fraction(1))
-    for t in range(n):
-        out = out * UniPoly(var, (Fraction(-t), Fraction(1)))
-    return out
+def _taylor(q: UniPoly, a, count: int) -> list:
+    """The first count coefficients of q(s + a), the k-th q^(k)(a)/k! and 0
+    past deg q, by synthetic division, whose pass k makes the k-th final."""
+    cs = list(q.coeffs)
+    for k in range(min(len(cs) - 1, count)):
+        for i in range(len(cs) - 2, k - 1, -1):
+            cs[i] = cs[i] + cs[i + 1] * a
+    return (cs + [Fraction(0)] * count)[:count]
 
 
 class EulerOperator(Combination):
@@ -111,19 +117,22 @@ class EulerOperator(Combination):
     def indicial(self) -> UniPoly:
         """q with op x^s = q(s) x^(s-N)."""
         self.require_homogeneous()
+        # a_j d^j sends x^s to a_j s (s-1) ... (s-j+1): a_0 + s (a_1 + (s-1) (a_2 + ...))
+        by_order = {j: coeff for (_k, j), coeff in self.terms.items()}
         out = UniPoly.zero("s")
-        for (_k, j), coeff in self.terms.items():
-            out = out + _falling_poly("s", j) * coeff
+        for j in range(max(by_order), -1, -1):
+            out = out * UniPoly("s", (-j, 1)) + by_order.get(j, Fraction(0))
         return out
 
     def apply(self, series: "LogSeries") -> "LogSeries":
+        # x^r log(x)^p goes to sum_i C(p, i) q^(i)(r) x^(r-n) log(x)^(p-i)
         n = self.require_homogeneous()
-        derivs = _derivative_chain(self.indicial())
+        q = self.indicial()
         return LogSeries._of(accumulate(
-            ((r - n, p - i), amp * math.comb(p, i) * val)
+            ((r - n, p - i), amp * math.perm(p, i) * val)
             for (r, p), amp in series.terms.items()
-            for i in range(min(p, len(derivs) - 1) + 1)
-            if (val := derivs[i].evaluate(r))
+            for i, val in enumerate(_taylor(q, r, p + 1))
+            if val
         ))
 
     def _ordered(self):
@@ -167,13 +176,6 @@ class EulerOperator(Combination):
             raise ParseError(f"malformed operator object: {exc}") from exc
 
 
-def _derivative_chain(q: UniPoly) -> list:
-    chain = [q]
-    while not chain[-1].is_zero():
-        chain.append(chain[-1].derivative())
-    return chain
-
-
 # -- descent ----------------------------------------------------------------
 
 
@@ -205,35 +207,33 @@ def descent_operator(vec: ModuleVector, h1) -> EulerOperator:
     return acc
 
 
-def descent_indicial(vec: ModuleVector, h1, at=0) -> UniPoly:
-    """q(s + at), with q the indicial polynomial of descent_operator(vec, h1),
-    read from the words of vec without building the operator.
+def descent_indicial(vec: ModuleVector, h1) -> UniPoly:
+    """The indicial polynomial q of descent_operator(vec, h1), read from the
+    words of vec without building the operator.
 
     The factor of L(-p) sends x^s to -(s + (1-p) h1) x^(s-p), and the
     largest part of a word acts first, so the word with parts
     p_1 >= p_2 >= ... contributes its coefficient times the product of
-    -(s - t_i + (1-p_i) h1), t_i = p_1 + ... + p_(i-1).  With b the common
-    denominator of h1 and at, D that of the coefficients and N the level,
-    the sum is taken in ints times D b^N.  vec, h1 and at are rational.
+    -(s - t_i + (1-p_i) h1), t_i = p_1 + ... + p_(i-1).  With b the
+    denominator of h1, D the common one of the coefficients and N the
+    level, the sum is taken in ints times D b^N.  vec and h1 are rational.
     """
     if vec.is_zero():
         raise DomainError("descent of the zero vector")
     if any(top != 1 for (_lam, top) in vec.terms):
         raise DomainError("descent needs a bottom-layer (ordinary) vector")
-    h1, at = as_fraction(h1), as_fraction(at)
+    bh, b = as_fraction(h1).as_integer_ratio()
     level, coeffs = vec.level, [as_fraction(c) for c in vec.terms.values()]
-    b = math.lcm(h1.denominator, at.denominator)
-    bh, ba = h1.numerator * (b // h1.denominator), at.numerator * (b // at.denominator)
     den = math.lcm(*(c.denominator for c in coeffs))
     total = [0] * (level + 1)
     for (lam, _top), coeff in zip(vec.terms, coeffs):
         word = [coeff.numerator * (den // coeff.denominator) * b ** (level - len(lam))]
-        shift = ba
+        shift = 0
         for p in lam:
-            # times b, the factor is -b s + (p - 1) b h1 - b (at - t_i)
-            u = (p - 1) * bh - shift
+            # times b, the factor is -b s + (p - 1) b h1 + b t_i
+            u = (p - 1) * bh + shift
             word = [u * lo - b * hi for lo, hi in zip(word + [0], [0] + word)]
-            shift -= b * p
+            shift += b * p
         for k, c in enumerate(word):
             total[k] += c
     if not any(total):
@@ -281,7 +281,7 @@ def indicial_data(vec: ModuleVector, h1, h2) -> IndicialData:
     # the next step, and before root finding
     q = descent_indicial(vec, h1)
     require_printable(q.coeffs)
-    fus = descent_indicial(vec, h1, -(h1 + h2)).rename("h3")
+    fus = UniPoly("h3", _taylor(q, -(h1 + h2), len(q.coeffs)))
     require_printable(fus.coeffs)
     roots, residual = rational_roots(fus)
     return IndicialData(vec.level, q, fus, roots, residual)
@@ -388,30 +388,32 @@ def solve_euler(op: EulerOperator, rhs: LogSeries):
     """
     n = op.require_homogeneous()
     q = op.indicial()
-    if not q.all_rational():
+    # by value: a polynomial in b with no b part is the rational it equals
+    if not all(isinstance(c, Fraction) or c.is_constant() for c in q.coeffs):
         raise DomainError("resonance solve needs a rational indicial polynomial")
+    q = UniPoly("s", map(as_fraction, q.coeffs))
     roots, _residual = rational_roots(q)
     mult = dict(roots)
-    derivs = _derivative_chain(q)
+    # a term alone at its exponent solves for coefficients of the result, so
+    # one too long to print is refused at once; shared ones may cancel
+    sharing = Counter(s0 for s0, _p in rhs.terms)
     pairs = []
     for (s0, p), amp in rhs.terms.items():
         s = s0 + n
         mu = mult.get(s, 0)
-        lead = derivs[mu].evaluate(s)
+        # tau[i] = q^(i)(s) / i!; the solve reads i <= p + mu
+        tau = _taylor(q, s, p + mu + 1)
         beta: dict = {}
         for k in range(p, -1, -1):
             j = k + mu
             target = amp if k == p else Fraction(0)
             for jj in range(j + 1, p + mu + 1):
-                # derivatives past the degree of q are the zero polynomial
-                target = target - beta[jj] * math.comb(jj, jj - k) * derivs[
-                    min(jj - k, len(derivs) - 1)
-                ].evaluate(s)
-            beta[j] = target / (math.comb(j, mu) * lead)
+                target = target - beta[jj] * math.perm(jj, jj - k) * tau[jj - k]
+            beta[j] = val = target / (math.perm(j, mu) * tau[mu])
+            if sharing[s0] == 1:
+                require_printable(val.terms.values() if isinstance(val, MultiPoly) else (val,))
         pairs.extend(((s, j), val) for j, val in beta.items() if val)
-    homogeneous = [
-        LogSeries.monomial(r, j) for r, m in roots for j in range(m)
-    ]
+    homogeneous = [LogSeries.monomial(r, j) for r, m in roots for j in range(m)]
     return LogSeries._of(accumulate(pairs)), homogeneous
 
 
@@ -433,10 +435,10 @@ def determine_b(h) -> Fraction:
         )
     # an rhs A x^(-2h) resonates at s = 2 - 2h; the solve's log x term is
     # A / q'(s), present exactly when s is a simple root of q
-    q = descent_indicial(found[0], h, 2 - 2 * h)
-    if q.coeff(0) or not q.coeff(1):
+    value, slope = _taylor(descent_indicial(found[0], h), 2 - 2 * h, 2)
+    if value or not slope:
         raise DomainError("no logarithmic resonance at this weight")
-    return 2 * h * q.coeff(1)
+    return 2 * h * slope
 
 
 def ope_level2_coefficient(c, h) -> Fraction:

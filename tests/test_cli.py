@@ -8,6 +8,7 @@ fixture under the fixture and report verbs.
 import contextlib
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -30,6 +31,7 @@ from virlog.modules import (
     shapovalov_determinant,
     shapovalov_matrix,
 )
+from virlog.polynomial import UniPoly
 from virlog.serialize import deserialize
 
 from hom_check_oracle import hom_check
@@ -198,7 +200,7 @@ def test_fusion_kac_t_three_quarters(capsys):
         values, d = [], fus
         for _ in range(mult + 1):
             values.append(d.evaluate(Fraction(root)))
-            d = d.derivative()
+            d = UniPoly(d.var, [k * c for k, c in enumerate(d.coeffs)][1:])
         assert values[:mult] == [0] * mult and values[mult] != 0
 
 
@@ -611,6 +613,12 @@ HUGE_WEIGHT_SECONDS = 3.0
 # refusal, root finding takes 0.2-1.5 s at 2,400 digits and 0.85 s at level
 # 4 with 4,000
 FUSION_REFUSAL_SECONDS = 1.0
+# the same for euler-solve on the degree-32 operator with the close roots
+# (10^12 + k)/(10^6 + 1) and the rhs x^(1/2) log(x)^64, whose particular
+# solution cannot be printed: refused when the solve reaches its first
+# unprintable coefficient, it took 0.15-0.24 s; finishing the solve first
+# took 9.0-11.2 s (1.1 s at log power 32)
+EULER_REFUSAL_SECONDS = 1.0
 
 
 @st.composite
@@ -712,6 +720,34 @@ def _huge_euler_docs(draw):
 @given(doc=_huge_euler_docs())
 def test_euler_solve_with_huge_numbers_exits_cleanly(doc):
     _exits_cleanly(["euler-solve"], HUGE_WEIGHT_SECONDS, stdin=doc)
+
+
+def _close_root_operator():
+    """The degree-32 operator x^-32 sum_j a_j x^j d^j whose indicial
+    polynomial has the roots (10^12 + k)/(10^6 + 1), k = 1..32: a_j is the
+    j-th forward difference of q at 0 over j!."""
+    roots = [Fraction(10**12 + k, 10**6 + 1) for k in range(1, 33)]
+    diffs = [math.prod(s - r for r in roots) for s in range(33)]
+    terms = []
+    for j in range(33):
+        terms.append((j - 32, j, str(diffs[0] / math.factorial(j))))
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return terms
+
+
+@pytest.mark.parametrize("logpower", [32, 64])
+@pytest.mark.parametrize("amplitude", ["1", {"vars": ["b"], "terms": [{"coeff": "1", "exps": [1]}]}],
+                         ids=["rational", "symbolic"])
+def test_unprintable_euler_solution_is_refused_early(logpower, amplitude):
+    doc = _euler_doc(_close_root_operator(), [("1/2", logpower, amplitude)])
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.object(sys, "stdin", io.StringIO(doc)):
+        code = main(["euler-solve"])
+    assert time.perf_counter() - start < EULER_REFUSAL_SECONDS
+    assert (code, out.getvalue(), err.getvalue()) == (
+        1, "", "virlog: error: a result of more than 4300 digits cannot be printed\n")
 
 
 def test_module_runner_smoke():

@@ -102,6 +102,34 @@ def test_apply_is_linear():
     assert op.apply(s1 + s2) == op.apply(s1) + op.apply(s2)
 
 
+def _indicial_by_falling(op):
+    """q as the sum over the monomials x^(-k) d^j of op of their coefficient
+    times the falling factorial s (s-1) ... (s-j+1)."""
+    out = UniPoly.zero("s")
+    for (_k, j), coeff in op.terms.items():
+        falling = UniPoly.const("s", 1)
+        for t in range(j):
+            falling = falling * UniPoly("s", (-t, 1))
+        out = out + falling * coeff
+    return out
+
+
+small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+operator_coeffs = st.one_of(
+    small_rationals,
+    st.builds(lambda a, b: a * sym("b") + b, small_rationals, small_rationals),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-3, 6), st.dictionaries(st.integers(0, 6), operator_coeffs, min_size=1))
+def test_indicial_is_the_falling_factorial_sum(weight, by_order):
+    op = EulerOperator({(weight - j, j): coeff for j, coeff in by_order.items()})
+    if op.is_zero():
+        return
+    assert op.indicial() == _indicial_by_falling(op)
+
+
 def test_inhomogeneous_operator_has_no_indicial():
     op = EulerOperator({(0, 1): Fraction(1), (0, 0): Fraction(1)})
     assert op.weight() is None
@@ -152,7 +180,7 @@ def test_family_cminus2_logarithmic_fusion():
 
 
 def _indicial_data_of(fus: UniPoly) -> IndicialData:
-    return IndicialData(fus.degree(), fus.rename("s"), fus, *rational_roots(fus))
+    return IndicialData(fus.degree(), UniPoly("s", fus.coeffs), fus, *rational_roots(fus))
 
 
 _h3 = UniPoly.x("h3")
@@ -282,13 +310,29 @@ def _indicial_by_operator(vec, h1, at=Fraction(0)):
 big_rationals = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(big_rationals, max_size=9), st.one_of(st.just(Fraction(0)), big_rationals))
+def test_taylor_is_the_shifted_polynomial(coeffs, at):
+    # degree 0-8, and the zero polynomial
+    q = UniPoly("s", coeffs)
+    assert UniPoly("s", fusion._taylor(q, at, len(q.coeffs))) == _shifted(q, at)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(big_rationals, max_size=9), big_rationals, st.integers(0, 11))
+def test_taylor_count_is_a_prefix_padded_with_zeros(coeffs, at, count):
+    # the solves read only the first few coefficients; past the degree they are 0
+    q = UniPoly("s", coeffs)
+    assert fusion._taylor(q, at, count) == (_shifted(q, at).coeffs + [0] * count)[:count]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_descent_indicial_matches_the_operator_route(data):
     h2, vec = data.draw(st.sampled_from(_bottom_singular_vectors()))
     h1 = data.draw(st.one_of(st.just(Fraction(0)), st.just(h2), big_rationals))
     at = data.draw(st.one_of(st.just(Fraction(0)), st.just(-(h1 + h2)), big_rationals))
-    got = _outcome(descent_indicial, vec, h1, at)
+    got = _outcome(lambda: _shifted(descent_indicial(vec, h1), at))
     assert got == _outcome(_indicial_by_operator, vec, h1, at)
     # each drawn vector has an L(-1)^N term, so q has degree N and no draw raises
     assert isinstance(got, UniPoly)
@@ -317,7 +361,7 @@ def _indicial_data_by_operator(c, h1, h2) -> IndicialData:
     vec = next(found for level in range(1, 9) if (found := singular_vectors(mod, level)))[0]
     op = descent_operator(vec, h1)
     q = op.indicial()
-    fus = _shifted(q, -(h1 + h2)).rename("h3")
+    fus = UniPoly("h3", _shifted(q, -(h1 + h2)).coeffs)
     return IndicialData(op.require_homogeneous(), q, fus, *rational_roots(fus))
 
 
@@ -366,6 +410,20 @@ def test_solve_euler_double_root_forcing():
     particular, _ = solve_euler(op, LogSeries.monomial(0))
     assert particular == LogSeries.monomial(0, 2, Fraction(1, 2))
     assert op.apply(particular) == LogSeries.monomial(0)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_solve_euler_reads_a_constant_multipoly_by_value(order):
+    # d^2 + x^-1 d + x^-2 has q = s^2 + 1; a coefficient written as a
+    # polynomial in b with no b part is its value, at any derivative order
+    rational = {(2 - j, j): Fraction(1) for j in range(3)}
+    written = dict(rational)
+    written[(2 - order, order)] = MultiPoly(("b",), {(0,): Fraction(1)})
+    rhs = LogSeries({(Fraction(-2), 1): Fraction(5), (Fraction(1, 2), 0): sym("b")})
+    assert solve_euler(EulerOperator(written), rhs) == solve_euler(EulerOperator(rational), rhs)
+    written[(2 - order, order)] = sym("b") + 1
+    with pytest.raises(DomainError, match="rational indicial polynomial"):
+        solve_euler(EulerOperator(written), rhs)
 
 
 @pytest.mark.parametrize("logpower", range(9))
@@ -462,6 +520,16 @@ def test_determine_b_reads_the_indicial_polynomial(monkeypatch):
     monkeypatch.setattr(EulerOperator, "compose", never)
     monkeypatch.setattr(MultiPoly, "divexact", never)
     assert determine_b(Fraction(5, 8)) == Fraction(5, 2)
+
+
+def test_one_descent_per_fusion_and_per_b(monkeypatch):
+    calls = []
+    real = fusion.descent_indicial
+    monkeypatch.setattr(fusion, "descent_indicial", lambda *args: calls.append(args) or real(*args))
+    assert determine_b(Fraction(5, 8)) == Fraction(5, 2)
+    assert len(calls) == 1
+    fusion_indicial(Fraction(0), Fraction(5, 8), Fraction(5, 8))
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("c, h", [(Fraction(1), Fraction(0)), (Fraction(-2), Fraction(-1, 8)),

@@ -6,6 +6,7 @@ and identical inputs must produce identical bytes.
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from virlog.fixtures import run_fixture
 from virlog.fusion import EulerOperator, LogSeries, fusion_indicial
 from virlog.linalg import ExactMatrix
 from virlog.modules import JordanVermaModule, basis_vector, shapovalov_matrix
-from virlog.polynomial import UniPoly, sym
+from virlog.polynomial import MAX_UNIPOLY_DEGREE, UniPoly, sym
 from virlog.serialize import _dumps, deserialize, serialize, to_document, to_text
 from virlog.virasoro import UEAElement
 from virlog.wlog import wlog_bracket
@@ -243,6 +244,24 @@ def _vector(level=1, word=(1,), top=1):
 def test_non_integer_fields_are_refused(kind, doc):
     with pytest.raises(ParseError):
         deserialize(json.dumps(doc), kind)
+
+
+def test_unipoly_exponent_is_capped_before_allocating():
+    def doc(exponent):
+        return json.dumps({"vars": ["x"], "terms": [{"coeff": "1", "exps": [exponent]}]})
+
+    at_cap = deserialize(doc(MAX_UNIPOLY_DEGREE), "unipoly")
+    assert at_cap == UniPoly("x", [0] * MAX_UNIPOLY_DEGREE + [1])
+    for exponent in (MAX_UNIPOLY_DEGREE + 1, 10**7):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=rf"must be in 0\.\.{MAX_UNIPOLY_DEGREE}$"):
+                deserialize(doc(exponent), "unipoly")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a dense list of 10^7 coefficients would take 76 MiB
+        assert peak < 2**20
 
 
 def test_integral_spellings_of_integer_fields_are_read_as_integers():
