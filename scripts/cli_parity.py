@@ -26,8 +26,9 @@ The sweeps:
     `--json`;
   - `euler-solve --input FILE` on fixture 06a's operator and rhs, and on
     documents with log powers, repeated indicial roots (resonances at
-    multiplicity 0 to 3) and symbolic `b` coefficients, each written once
-    to a temporary directory that both trees read;
+    multiplicity 0 to 3), symbolic `b` coefficients and rhs terms that
+    share an exponent, each written once to a temporary directory that both
+    trees read;
   - the module verbs at levels 0-6 and `--jordan` 1-3, with and without
     `--json`: `det`, `singular`, `radical` and, at `--jordan` 1 and 2,
     `hom-check` on Kac weights h_{r,s} with rs the level and on two generic
@@ -182,6 +183,11 @@ def _euler_docs() -> list:
         (triple_root, [("-3", 2, _b(("1", 1)))]),
         ([(0, 3, "1"), (-3, 0, "-6")], [("1", 2, _b(("1", 1), ("1", 0)))]),
         ([(0, 2, _b(("1", 1)))], [("0", 0, "1")]),
+        # rhs terms that share an exponent, solved as one triangular system
+        (fixture_06a, [("-5/4", 0, _b(("2/3", 1))), ("-5/4", 1, "1")]),
+        (fixture_06a, [("1/2", 3, "7"), ("1/2", 0, _b(("-2", 1)))]),
+        (double_root, [("-2", 1, "5"), ("-2", 0, _b(("1", 1)))]),
+        (triple_root, [("-3", 0, "1"), ("-3", 2, _b(("1", 1))), ("-3", 1, "-2")]),
     ]
     return [{"op": {"terms": [{"xpow": x, "dorder": d, "coeff": q} for x, d, q in op]},
              "rhs": {"terms": [{"exponent": e, "logpower": p, "coeff": q} for e, p, q in rhs]}}

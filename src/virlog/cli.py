@@ -51,13 +51,13 @@ from .wlog import _COCYCLES, CENTRAL, _cocycle_fn, check_jacobi, vacuum_expectat
 # polynomial: the slowest root finding found, on the close rational roots
 # (10^12 + k)/(10^6 + 1), k = 1..n, takes 0.18 s at degree 32 (also the
 # whole euler-solve) and 1.7 s at 64.  The solve's work grows with the rhs
-# log power: x^(1/2) log(x)^64 on a degree-32 operator takes 0.1-0.5 s
+# log power: x^(1/2) log(x)^64 on a degree-32 operator takes 0.15-0.54 s
 # with roots 1..32 or k/7; with the close roots the result is too long to
-# print and is refused at its first such coefficient in 0.14 s, not after
-# the whole solve (9 s; 2-core x86-64, Python 3.11).  Its
-# coefficients need no cap of their own: the parser refuses an int
-# literal above the interpreter's 4,300-digit limit (see
-# rational.parse_rational), and root finding grows
+# print and is refused at its first such coefficient in 0.15-0.18 s, also
+# with a second rhs term at x^(1/2), not after the whole solve (10 s;
+# 2-core x86-64, Python 3.11).  Its coefficients need no cap of their
+# own: the parser refuses an int literal above the interpreter's
+# 4,300-digit limit (see rational.parse_rational), and root finding grows
 # about quadratically in the digits, so (s - N)(s - N - 1) with a
 # 4,299-digit constant term, near the largest, takes about 0.8 s.  The cap
 # on --level is fusion.MAX_LEVEL.

@@ -187,18 +187,14 @@ def _fx_singular_pair_c1():
     found = singular_vectors(mod, 3)
     s1 = _vector_from_coeffs(mod, 3, PUBLISHED_SINGULAR_TOP)
     s2 = _vector_from_coeffs(mod, 3, PUBLISHED_SINGULAR_LOG)
-    ok = (
-        len(found) == 2
-        and _span_contains(found, s1)
-        and _span_contains(found, s2)
-    )
+    top, log = _span_contains(found, s1), _span_contains(found, s2)
     expected = "dimension 2 containing (1,-4,6,0,0,0) and (0,-2,5,1,-4,6)"
     computed = (
         f"dimension {len(found)}; top vector "
-        f"{'in' if _span_contains(found, s1) else 'NOT in'} span; log vector "
-        f"{'in' if _span_contains(found, s2) else 'NOT in'} span"
+        f"{'in' if top else 'NOT in'} span; log vector "
+        f"{'in' if log else 'NOT in'} span"
     )
-    return expected, computed, ok
+    return expected, computed, len(found) == 2 and top and log
 
 
 def _fx_hom_check():

@@ -15,7 +15,8 @@ to a(s - m) b(s) x^(s-n-m).  So descent_indicial reads q from the words of
 a singular vector, in ints, without building its Euler operator, once per
 fusion and per determine_b.  Every other number is q at a point, read from
 its Taylor coefficients there (_taylor): the fusion polynomial
-q(h3 - h1 - h2), b from q and q' at 2 - 2h, and each resonance term.
+q(h3 - h1 - h2), b from q and q' at 2 - 2h, and the resonance solve, one
+triangular system per rhs exponent whose coefficients are final as solved.
 descent_operator and its indicial polynomial are the tests' reference:
 descent_operator, descent_word, descent_factor, EulerOperator.compose and
 falling have no other caller here, and stay until the benchmark's
@@ -25,7 +26,6 @@ fusion.descent span, which wraps descent_operator, is retargeted.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -381,10 +381,10 @@ def solve_euler(op: EulerOperator, rhs: LogSeries):
     """Particular solution of op u = rhs plus a basis of the rational-root
     homogeneous solutions.
 
-    Each rhs term A x^(s0) log(x)^p forces exponent s = s0 + N.  With mu the
-    multiplicity of s in the indicial polynomial, the ansatz runs from
-    log^mu up to log^(p+mu) and the coefficients solve a triangular system;
-    the free homogeneous components below log^mu are set to zero.
+    The rhs terms A_p x^(s0) log(x)^p at one s0 force s = s0 + N.  With mu
+    the multiplicity of s in the indicial polynomial and P the largest p,
+    the ansatz runs from log^mu up to log^(P+mu) and one triangular system
+    per s solves it; the free homogeneous components below log^mu are zero.
     """
     n = op.require_homogeneous()
     q = op.indicial()
@@ -394,27 +394,28 @@ def solve_euler(op: EulerOperator, rhs: LogSeries):
     q = UniPoly("s", map(as_fraction, q.coeffs))
     roots, _residual = rational_roots(q)
     mult = dict(roots)
-    # a term alone at its exponent solves for coefficients of the result, so
-    # one too long to print is refused at once; shared ones may cancel
-    sharing = Counter(s0 for s0, _p in rhs.terms)
-    pairs = []
+    by_exponent: dict = {}
     for (s0, p), amp in rhs.terms.items():
-        s = s0 + n
-        mu = mult.get(s, 0)
-        # tau[i] = q^(i)(s) / i!; the solve reads i <= p + mu
-        tau = _taylor(q, s, p + mu + 1)
-        beta: dict = {}
-        for k in range(p, -1, -1):
+        by_exponent.setdefault(s0 + n, {})[p] = amp
+    beta = {}
+    for s, amps in by_exponent.items():
+        mu, top = mult.get(s, 0), max(amps)
+        # tau[i] = q^(i)(s) / i!; the solve reads i <= top + mu
+        tau = _taylor(q, s, top + mu + 1)
+        for k in range(top, -1, -1):
             j = k + mu
-            target = amp if k == p else Fraction(0)
-            for jj in range(j + 1, p + mu + 1):
-                target = target - beta[jj] * math.perm(jj, jj - k) * tau[jj - k]
-            beta[j] = val = target / (math.perm(j, mu) * tau[mu])
-            if sharing[s0] == 1:
-                require_printable(val.terms.values() if isinstance(val, MultiPoly) else (val,))
-        pairs.extend(((s, j), val) for j, val in beta.items() if val)
+            target = amps.get(k, Fraction(0))
+            for jj in range(j + 1, top + mu + 1):
+                target = target - beta[s, jj] * math.perm(jj, jj - k) * tau[jj - k]
+            val = target / (math.perm(j, mu) * tau[mu])
+            # final once solved, so one too long to print is refused at once;
+            # by value, as q is read
+            if isinstance(val, MultiPoly) and val.is_constant():
+                val = val.constant_value()
+            require_printable(val.terms.values() if isinstance(val, MultiPoly) else (val,))
+            beta[s, j] = val
     homogeneous = [LogSeries.monomial(r, j) for r, m in roots for j in range(m)]
-    return LogSeries._of(accumulate(pairs)), homogeneous
+    return LogSeries._of({key: val for key, val in beta.items() if val}), homogeneous
 
 
 # -- derived constants ------------------------------------------------------

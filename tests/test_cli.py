@@ -736,10 +736,16 @@ def _close_root_operator():
 
 
 @pytest.mark.parametrize("logpower", [32, 64])
-@pytest.mark.parametrize("amplitude", ["1", {"vars": ["b"], "terms": [{"coeff": "1", "exps": [1]}]}],
-                         ids=["rational", "symbolic"])
-def test_unprintable_euler_solution_is_refused_early(logpower, amplitude):
-    doc = _euler_doc(_close_root_operator(), [("1/2", logpower, amplitude)])
+@pytest.mark.parametrize("rhs", [
+    [("1/2", None, "1")],
+    [("1/2", None, {"vars": ["b"], "terms": [{"coeff": "1", "exps": [1]}]})],
+    # a second term at the same exponent, solved in the same triangular system
+    [("1/2", None, "1"), ("1/2", 0, "1")],
+], ids=["rational", "symbolic", "shared"])
+def test_unprintable_euler_solution_is_refused_early(logpower, rhs):
+    # None stands for the log power under test
+    doc = _euler_doc(_close_root_operator(),
+                     [(e, logpower if p is None else p, amp) for e, p, amp in rhs])
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \

@@ -437,21 +437,58 @@ def test_solve_euler_log_power_above_the_indicial_degree(logpower):
 
 
 def test_solve_euler_verification_property():
+    # 1-4 rhs terms over 1-2 exponents, so terms often share one, with
+    # rational or b-linear amplitudes
     rng = random.Random(11)
-    for _ in range(30):
+    for _ in range(60):
         op = _random_homogeneous(rng, rng.randint(-1, 3))
         if op.indicial().is_zero():
             continue
+        exponents = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rng.randint(1, 2))]
         rhs = LogSeries(
             {
-                (Fraction(rng.randint(-6, 6), rng.randint(1, 3)), rng.randint(0, 2)):
-                Fraction(rng.randint(1, 5), rng.randint(1, 3))
+                (rng.choice(exponents), rng.randint(0, 3)):
+                Fraction(rng.randint(1, 5), rng.randint(1, 3)) + rng.randint(-2, 2) * sym("b")
+                if rng.random() < 0.5 else Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 4))
             }
         )
         particular, homogeneous = solve_euler(op, rhs)
         assert op.apply(particular) == rhs
         for member in homogeneous:
             assert op.apply(member).is_zero()
+
+
+@pytest.mark.parametrize("rhs, particular", [
+    # b x log(x) + (b + 1) x under x d/dx: the x coefficient is (b + 1) - b
+    (LogSeries({(Fraction(1), 1): sym("b"), (Fraction(1), 0): sym("b") + 1}),
+     {(Fraction(1), 1): sym("b"), (Fraction(1), 0): Fraction(1)}),
+    (LogSeries({(Fraction(1), 0): MultiPoly(("b",), {(0,): Fraction(2)})}),
+     {(Fraction(1), 0): Fraction(2)}),
+], ids=["cancelled-b", "constant-object"])
+def test_solve_euler_returns_coefficients_by_value(rhs, particular):
+    # a coefficient with no b part is the rational it equals
+    solved, _ = solve_euler(EulerOperator.monomial(-1, 1), rhs)
+    assert solved.terms == particular
+    assert {k: type(c) for k, c in solved.terms.items()} == {k: type(c) for k, c in particular.items()}
+
+
+def test_solve_euler_takes_one_taylor_expansion_per_exponent(monkeypatch):
+    calls = []
+
+    def counted(q, a, count):
+        calls.append(a)
+        return taylor(q, a, count)
+
+    taylor = fusion._taylor
+    monkeypatch.setattr(fusion, "_taylor", counted)
+    # x^2 d^2 has q = s (s - 1): six terms at three exponents, two of them
+    # roots
+    op = EulerOperator({(-2, 2): Fraction(1)})
+    rhs = LogSeries({(r, p): Fraction(p + 1) for r in (0, 1, Fraction(1, 2)) for p in (0, 2)})
+    particular, _ = solve_euler(op, rhs)
+    assert sorted(calls) == [0, Fraction(1, 2), 1]
+    assert op.apply(particular) == rhs
 
 
 def test_log_series_guards_and_io():
